@@ -18,7 +18,7 @@ import numpy as np
 
 from .matops import DEFAULT_ABS_EPS, as_matrix, max_abs_diff
 from .gellmann import DIAGONAL, basis
-from .swap import swap_by_formula, swap_by_rule
+from .swap import WalkCheckpointError, swap_by_formula, swap_by_rule
 from .product import (
     decompose_product,
     diagonal_family_reference,
@@ -117,7 +117,7 @@ def _load_matrix_file(path):
         rows, cols, entries = data["rows"], data["cols"], data["entries"]
     except KeyError as exc:
         raise InputError(f"matrix file {path!r} is missing key {exc}")
-    if not (isinstance(rows, int) and isinstance(cols, int) and rows >= 1 and cols >= 1):
+    if not all(isinstance(x, int) and not isinstance(x, bool) and x >= 1 for x in (rows, cols)):
         raise InputError(f"matrix file {path!r} has invalid dimensions")
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise InputError(
@@ -183,20 +183,22 @@ def cmd_swap(args):
     if p < 1 or q < 1:
         return _fail("--p and --q must be at least 1")
     methods_agree = None
-    if args.method == "both":
-        u = swap_by_formula(p, q)
-        u_rule = swap_by_rule(p, q)
-        methods_agree = bool(np.array_equal(u.perm, u_rule.perm))
-        if not methods_agree:
-            print(
-                "tcm: internal consistency failure: rule and formula constructions disagree",
-                file=sys.stderr,
-            )
-            return EXIT_INTERNAL
-    elif args.method == "rule":
-        u = swap_by_rule(p, q)
-    else:
-        u = swap_by_formula(p, q)
+    try:
+        if args.method == "both":
+            u = swap_by_formula(p, q)
+            methods_agree = bool(np.array_equal(u.perm, swap_by_rule(p, q).perm))
+        elif args.method == "rule":
+            u = swap_by_rule(p, q)
+        else:
+            u = swap_by_formula(p, q)
+    except WalkCheckpointError:
+        methods_agree = False
+    if methods_agree is False:
+        print(
+            "tcm: internal consistency failure: rule and formula constructions disagree",
+            file=sys.stderr,
+        )
+        return EXIT_INTERNAL
     positions = u.one_positions()
 
     if args.format == "json":

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .matops import as_matrix, hs_inner, identity, trace
+from .matops import as_matrix, identity
 
 SYMMETRIC = "symmetric"
 ANTISYMMETRIC = "antisymmetric"
@@ -155,11 +155,30 @@ def basis(n):
     return GellMannBasis(n=n, elements=tuple(elements))
 
 
+def extended_stack(n):
+    """Vectorized ``{identity} + basis(n)`` and the squared HS norms.
+
+    Returns an (n^2, n^2) array whose row 0 is the row-major ``vec`` of
+    ``identity(n)`` and whose row k >= 1 is that of the k-th generator,
+    built on every call from the cached :func:`basis`, together with the
+    squared norms: n for the identity, 2 for each generator.
+    """
+    generators = basis(n).matrices
+    stack = np.empty((n * n, n, n), dtype=np.complex128)
+    stack[0] = identity(n)
+    stack[1:] = generators
+    norms = np.full(n * n, 2.0)
+    norms[0] = n
+    return stack.reshape(n * n, n * n), norms
+
+
 def expand_in_basis(m, n=None):
     """Expand ``m`` over ``{identity} + basis(n)`` by orthogonal projection.
 
-    ``c0 = trace(m) / n`` and ``c[k] = hs_inner(basis_k, m) / 2``; the input
-    need not be hermitian, in which case coefficients are complex.
+    ``c0 = trace(m) / n`` and ``c[k] = hs_inner(basis_k, m) / 2``, all
+    computed as one product of the conjugated :func:`extended_stack` with
+    ``vec(m)``; the input need not be hermitian, in which case
+    coefficients are complex.
     """
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
@@ -168,10 +187,9 @@ def expand_in_basis(m, n=None):
         n = m.shape[0]
     elif m.shape != (n, n):
         raise ValueError(f"matrix shape {m.shape} does not match n={n}")
-    b = basis(n)
-    c0 = trace(m) / n
-    c = np.array([hs_inner(g, m) / 2.0 for g in b.matrices], dtype=np.complex128)
-    return BasisCoefficients(n=n, c0=c0, c=c)
+    stack, norms = extended_stack(n)
+    coeffs = stack.conj() @ m.ravel() / norms
+    return BasisCoefficients(n=n, c0=complex(coeffs[0]), c=coeffs[1:])
 
 
 def reconstruct(coeffs):
@@ -180,7 +198,5 @@ def reconstruct(coeffs):
     c = np.asarray(coeffs.c, dtype=np.complex128)
     if c.shape != (n * n - 1,):
         raise ValueError(f"need {n * n - 1} coefficients for n={n}, got {c.shape}")
-    out = coeffs.c0 * identity(n)
-    for ck, g in zip(c, basis(n).matrices):
-        out += ck * g
-    return out
+    stack, _ = extended_stack(n)
+    return (np.concatenate(([coeffs.c0], c)) @ stack).reshape(n, n)

@@ -6,6 +6,17 @@ recovered by Hilbert-Schmidt projection: each basis element is orthogonal
 to the others, with squared norm n for the identity of dimension n and 2
 for every generator, so every grid cell is an independent projection.
 
+All cells are computed at once through the Van Loan-Pitsianis
+rearrangement (Van Loan & Pitsianis 1993, "Approximation with Kronecker
+products").  Writing composite indices as ``(i1, i2)``, the realignment
+
+    R(m)[(i1, j1), (i2, j2)] = m[(i1, i2), (j1, j2)]
+
+maps ``kron(A_a, B_b)`` to the rank-one ``outer(vec(A_a), vec(B_b))``, so
+with A, B the stacks of vectorized factor bases the projection is
+``grid = conj(A) @ R(m) @ conj(B).T / outer(norms_p, norms_q)`` and the
+reconstruction is ``R^-1(A.T @ grid @ B)``.
+
 For equal factors the swap matrix has the closed-form expansion
 
     swap(n, n) = (1/n) I (x) I + (1/2) sum_k G_k (x) G_k
@@ -22,7 +33,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matops import DEFAULT_ABS_EPS, as_matrix, elementary, identity, max_abs_diff
-from .gellmann import antisymmetric_generator, basis, diagonal_generator, symmetric_generator
+from .gellmann import (
+    antisymmetric_generator,
+    basis,
+    diagonal_generator,
+    extended_stack,
+    symmetric_generator,
+)
 
 
 @dataclass(frozen=True)
@@ -56,17 +73,24 @@ class ClosedFormReport:
     passed: bool
 
 
-def _extended_factors(n):
-    """Matrices and squared HS norms of ``{I_n} + basis(n)``.
+def _factor_stack(n):
+    """Vectorized extended factor basis of dimension n and its squared norms.
 
     Dimension 1 has no generators; its extended basis is just ``I_1``.
     """
-    mats = [identity(n)]
-    norms = [float(n)]
-    if n >= 2:
-        mats.extend(basis(n).matrices)
-        norms.extend([2.0] * (n * n - 1))
-    return mats, norms
+    if n == 1:
+        return np.ones((1, 1), dtype=np.complex128), np.ones(1)
+    return extended_stack(n)
+
+
+def _realign(m, p, q):
+    """``R(m)``: the (p^2, q^2) rearrangement of a pq x pq matrix."""
+    return m.reshape(p, q, p, q).transpose(0, 2, 1, 3).reshape(p * p, q * q)
+
+
+def _unrealign(r, p, q):
+    """Inverse of :func:`_realign`."""
+    return r.reshape(p, p, q, q).transpose(0, 2, 1, 3).reshape(p * q, p * q)
 
 
 def extended_labels(n):
@@ -80,36 +104,27 @@ def extended_labels(n):
 def decompose_product(m, p, q):
     """Project ``m`` onto the product basis of dimensions p and q.
 
-    Each cell is ``hs_inner(kron(A_a, B_b), m)`` divided by the product of
-    the factors' squared norms; the cells are independent of each other
-    and of evaluation order.
+    Cell (a, b) is ``hs_inner(kron(A_a, B_b), m)`` divided by the product
+    of the factors' squared norms; the whole grid comes from two matrix
+    products on the realigned ``m``.
     """
     m = as_matrix(m)
     if p < 1 or q < 1:
         raise ValueError(f"factor dimensions must be positive, got p={p}, q={q}")
     if m.shape != (p * q, p * q):
         raise ValueError(f"matrix shape {m.shape} does not match p*q = {p * q}")
-    a_mats, a_norms = _extended_factors(p)
-    b_mats, b_norms = _extended_factors(q)
-    grid = np.empty((p * p, q * q), dtype=np.complex128)
-    for a, (ma, na) in enumerate(zip(a_mats, a_norms)):
-        for b, (mb, nb) in enumerate(zip(b_mats, b_norms)):
-            grid[a, b] = np.vdot(np.kron(ma, mb), m) / (na * nb)
-    return ProductCoefficients(p=p, q=q, grid=grid)
+    a_stack, a_norms = _factor_stack(p)
+    b_stack, b_norms = _factor_stack(q)
+    grid = a_stack.conj() @ _realign(m, p, q) @ b_stack.conj().T
+    return ProductCoefficients(p=p, q=q, grid=grid / np.outer(a_norms, b_norms))
 
 
 def reconstruct_product(coeffs):
     """Evaluate ``sum_ab grid[a, b] * kron(A_a, B_b)``."""
     p, q = coeffs.p, coeffs.q
-    a_mats, _ = _extended_factors(p)
-    b_mats, _ = _extended_factors(q)
-    out = np.zeros((p * q, p * q), dtype=np.complex128)
-    for a, ma in enumerate(a_mats):
-        for b, mb in enumerate(b_mats):
-            z = coeffs.grid[a, b]
-            if z != 0:
-                out += z * np.kron(ma, mb)
-    return out
+    a_stack, _ = _factor_stack(p)
+    b_stack, _ = _factor_stack(q)
+    return _unrealign(a_stack.T @ coeffs.grid @ b_stack, p, q)
 
 
 def closed_form_swap_coefficients(n):

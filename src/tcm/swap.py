@@ -18,6 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 
+class WalkCheckpointError(RuntimeError):
+    """The column walk of :func:`swap_by_rule` broke one of its checkpoints."""
+
+
 @dataclass(frozen=True)
 class SwapMatrix:
     """Permutation representation of the p (x) q swap.
@@ -92,7 +96,8 @@ def swap_by_rule(p, q):
     Start with a 1 at row 1, column 1; in each following column descend p
     rows and place a 1.  Whenever fewer than p rows remain (after the k-th
     group of q ones), restart the descent at row k+1 in the next column.
-    The walk ends with a 1 at (pq, pq).  Kept free of any call into
+    The walk ends with a 1 at (pq, pq); a broken checkpoint raises
+    :class:`WalkCheckpointError`.  Kept free of any call into
     :func:`swap_by_formula` so the two constructions stay independent
     cross-checks of each other.
     """
@@ -108,8 +113,12 @@ def swap_by_rule(p, q):
         else:
             # Walk checkpoints: each group holds exactly q ones, and group
             # k+1 starts in the next column at row k+1.
-            assert col == group * q, f"group {group} ended at column {col}, expected {group * q}"
+            if col != group * q:
+                raise WalkCheckpointError(
+                    f"group {group} ended at column {col}, expected {group * q}"
+                )
             group += 1
             row = group
-    assert rows[-1] == total, "walk must end with a 1 at (pq, pq)"
+    if rows[-1] != total:
+        raise WalkCheckpointError("walk must end with a 1 at (pq, pq)")
     return SwapMatrix(p=p, q=q, perm=rows - 1)

@@ -9,9 +9,10 @@ import jsonschema
 import numpy as np
 import pytest
 
+from tcm import cli
 from tcm.gellmann import basis
 from tcm.product import decompose_product
-from tcm.swap import swap_by_formula
+from tcm.swap import WalkCheckpointError, swap_by_formula
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "docs" / "schema"
 
@@ -107,6 +108,19 @@ class TestSwapCommand:
         assert result.returncode == 2
         assert result.stdout == ""
 
+    @pytest.mark.parametrize("method", ["both", "rule"])
+    def test_walk_checkpoint_failure_exits_3(self, monkeypatch, capsys, method):
+        def broken_walk(p, q):
+            raise WalkCheckpointError("group 1 ended at column 1, expected 2")
+
+        monkeypatch.setattr(cli, "swap_by_rule", broken_walk)
+        assert cli.main(["swap", "--p", "3", "--q", "2", "--method", method]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            "tcm: internal consistency failure: rule and formula constructions disagree"
+        ]
+
 
 class TestDecomposeCommand:
     def test_swap_2x2_sparse_listing(self):
@@ -165,14 +179,17 @@ class TestDecomposeCommand:
             '{"rows": 6, "cols": 6, "entries": [[1, 0]]}',
             '{"rows": "6", "cols": 6, "entries": []}',
             '{"rows": 2, "cols": 2, "entries": [[1, 0], [0, 0], [0, 0], "x"]}',
+            '{"rows": true, "cols": true, "entries": [[1, 0]]}',
         ],
     )
     def test_malformed_file_exits_2(self, tmp_path, content):
+        # 1 x 1 so that no case is caught by the later shape check instead
         path = tmp_path / "bad.json"
         path.write_text(content, encoding="utf-8")
-        result = run_cli("decompose", "--p", "3", "--q", "2", "--input", str(path))
+        result = run_cli("decompose", "--p", "1", "--q", "1", "--input", str(path))
         assert result.returncode == 2
         assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
 
     def test_missing_file_exits_2(self):
         result = run_cli("decompose", "--p", "3", "--q", "2", "--input", "/nonexistent.json")

@@ -1,0 +1,68 @@
+"""The matrix-product projections against the cell-by-cell loops."""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from loop_reference import basis_coefficients, basis_sum, product_grid, product_sum
+from tcm.gellmann import BasisCoefficients, expand_in_basis, reconstruct
+from tcm.matops import DEFAULT_ABS_EPS, max_abs_diff
+from tcm.product import ProductCoefficients, decompose_product, reconstruct_product
+
+dims = st.integers(min_value=1, max_value=6)
+kinds = st.sampled_from(["complex", "hermitian"])
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def random_operator(seed, kind, d):
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    if kind == "hermitian":
+        m = (m + m.conj().T) / 2
+    return m
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=dims, q=dims, kind=kinds, seed=seeds)
+@example(p=1, q=4, kind="complex", seed=0)
+@example(p=5, q=1, kind="hermitian", seed=1)
+@example(p=3, q=3, kind="complex", seed=2)
+@example(p=6, q=5, kind="hermitian", seed=3)
+def test_decompose_matches_cell_loop(p, q, kind, seed):
+    m = random_operator(seed, kind, p * q)
+    coeffs = decompose_product(m, p, q)
+    assert np.max(np.abs(coeffs.grid - product_grid(m, p, q))) <= DEFAULT_ABS_EPS
+    assert max_abs_diff(reconstruct_product(coeffs), m) <= DEFAULT_ABS_EPS
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=dims, q=dims, seed=seeds)
+@example(p=1, q=1, seed=0)
+@example(p=2, q=6, seed=1)
+def test_reconstruct_matches_term_loop(p, q, seed):
+    grid = random_operator(seed, "complex", p * q).reshape(p * p, q * q)
+    got = reconstruct_product(ProductCoefficients(p=p, q=q, grid=grid))
+    assert max_abs_diff(got, product_sum(grid, p, q)) <= DEFAULT_ABS_EPS
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(min_value=2, max_value=8), kind=kinds, seed=seeds)
+def test_expansion_matches_generator_loop(n, kind, seed):
+    m = random_operator(seed, kind, n)
+    coeffs = expand_in_basis(m)
+    c0, c = basis_coefficients(m)
+    assert abs(coeffs.c0 - c0) <= DEFAULT_ABS_EPS
+    assert np.max(np.abs(coeffs.c - c)) <= DEFAULT_ABS_EPS
+    assert max_abs_diff(reconstruct(coeffs), basis_sum(n, c0, c)) <= DEFAULT_ABS_EPS
+    assert max_abs_diff(reconstruct(BasisCoefficients(n=n, c0=c0, c=c)), m) <= DEFAULT_ABS_EPS
+
+
+@pytest.mark.parametrize("p,q", [(12, 12), (16, 9)])
+def test_round_trips_beyond_loop_reach(p, q):
+    rng = np.random.default_rng(100 * p + q)
+    m = rng.standard_normal((p * q, p * q)) + 1j * rng.standard_normal((p * q, p * q))
+    coeffs = decompose_product(m, p, q)
+    assert max_abs_diff(reconstruct_product(coeffs), m) <= DEFAULT_ABS_EPS
+    again = decompose_product(reconstruct_product(coeffs), p, q)
+    assert np.max(np.abs(again.grid - coeffs.grid)) <= DEFAULT_ABS_EPS
