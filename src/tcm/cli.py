@@ -34,6 +34,10 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
+# verify's largest accumulator holds n_max^4 entries; 64^4 = 2^24 of them
+# are 256 MB of complex128.
+_MAX_VERIFY_N = 64
+
 
 class InputError(Exception):
     """Unusable command input (bad value, unreadable or misshapen file)."""
@@ -303,6 +307,11 @@ def cmd_decompose(args):
 def cmd_verify(args):
     if args.n_max < 2:
         return _fail("--n-max must be at least 2")
+    if args.n_max > _MAX_VERIFY_N:
+        return _fail(
+            f"--n-max must be at most {_MAX_VERIFY_N} "
+            f"(each check builds n^4-entry matrices)"
+        )
     try:
         tol = args.tol if args.tol is not None else _default_tolerance()
     except InputError as exc:

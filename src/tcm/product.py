@@ -25,21 +25,18 @@ exposed as a coefficient grid by :func:`closed_form_swap_coefficients`
 and checked numerically by :func:`verify_closed_form`.  The per-family
 sums behind that expansion (`offdiag_family_sum`, `diagonal_family_sum`)
 are provided together with their condensed elementary-matrix forms so the
-identity can be audited piecewise.
+identity can be audited piecewise.  The same realignment turns each sum of
+squares ``sum_k kron(G_k, G_k)`` into ``R^-1(V.T @ V)`` with V the stack
+of vectorized generators; the condensed forms are placed entry by entry,
+so each sum is still checked against an independent computation.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .matops import DEFAULT_ABS_EPS, as_matrix, elementary, identity, max_abs_diff
-from .gellmann import (
-    antisymmetric_generator,
-    basis,
-    diagonal_generator,
-    extended_stack,
-    symmetric_generator,
-)
+from .matops import DEFAULT_ABS_EPS, as_matrix, identity, max_abs_diff
+from .gellmann import DIAGONAL, basis, extended_stack
 
 
 @dataclass(frozen=True)
@@ -138,50 +135,58 @@ def closed_form_swap_coefficients(n):
     return ProductCoefficients(p=n, q=n, grid=grid)
 
 
-def offdiag_family_sum(n):
-    """``sum_{i<j} kron(S_ij, S_ij) + kron(A_ij, A_ij)``."""
+def _sum_kron_squares(matrices, n):
+    """``sum_k kron(M_k, M_k)`` over n x n matrices, as ``R^-1(V.T @ V)``.
+
+    ``R(kron(A, A)) = outer(vec(A), vec(A))``, so with V the (k, n^2)
+    stack of ``vec(M_k)`` the whole sum is one product, realigned back.
+    """
+    v = np.reshape(matrices, (len(matrices), n * n))
+    return _unrealign(v.T @ v, n, n)
+
+
+def _family(n, diagonal):
+    """The D generators of ``basis(n)``, or the S/A ones, in canonical order."""
     if n < 2:
         raise ValueError(f"family sums need n >= 2, got {n}")
-    out = np.zeros((n * n, n * n), dtype=np.complex128)
-    for j in range(2, n + 1):
-        for i in range(1, j):
-            s = symmetric_generator(n, i, j)
-            a = antisymmetric_generator(n, i, j)
-            out += np.kron(s, s) + np.kron(a, a)
-    return out
+    return [m for label, m in basis(n) if (label.kind == DIAGONAL) == diagonal]
+
+
+def offdiag_family_sum(n):
+    """``sum_{i<j} kron(S_ij, S_ij) + kron(A_ij, A_ij)``."""
+    return _sum_kron_squares(_family(n, diagonal=False), n)
 
 
 def offdiag_family_reference(n):
-    """Condensed form of the pair-family sum: ``2 sum_{i!=j} kron(E_ij, E_ji)``."""
+    """Condensed form of the pair-family sum: ``2 sum_{i!=j} kron(E_ij, E_ji)``.
+
+    ``kron(E_ij, E_ji)`` has its one 1 at row ``i*n + j``, column
+    ``j*n + i`` (0-based), so the sum is placed entry by entry.
+    """
     if n < 2:
         raise ValueError(f"family sums need n >= 2, got {n}")
+    i, j = np.divmod(np.arange(n * n), n)
+    pair = i != j
     out = np.zeros((n * n, n * n), dtype=np.complex128)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j:
-                out += 2.0 * np.kron(elementary(n, i, j), elementary(n, j, i))
+    out[(i * n + j)[pair], (j * n + i)[pair]] = 2.0
     return out
 
 
 def diagonal_family_sum(n):
     """``sum_{d=1..n-1} kron(D_d, D_d)``."""
-    if n < 2:
-        raise ValueError(f"family sums need n >= 2, got {n}")
-    out = np.zeros((n * n, n * n), dtype=np.complex128)
-    for d in range(1, n):
-        g = diagonal_generator(n, d)
-        out += np.kron(g, g)
-    return out
+    return _sum_kron_squares(_family(n, diagonal=True), n)
 
 
 def diagonal_family_reference(n):
-    """Condensed diagonal-family sum: ``-(2/n) I + 2 sum_i kron(E_ii, E_ii)``."""
+    """Condensed diagonal-family sum: ``-(2/n) I + 2 sum_i kron(E_ii, E_ii)``.
+
+    ``kron(E_ii, E_ii)`` is the 1 at diagonal index ``i*(n+1)`` (0-based).
+    """
     if n < 2:
         raise ValueError(f"family sums need n >= 2, got {n}")
     out = -(2.0 / n) * identity(n * n)
-    for i in range(1, n + 1):
-        e = elementary(n, i, i)
-        out += 2.0 * np.kron(e, e)
+    diag = np.arange(n) * (n + 1)
+    out[diag, diag] += 2.0
     return out
 
 
@@ -189,48 +194,53 @@ def verify_closed_form(n, abs_eps=DEFAULT_ABS_EPS):
     """Check ``sum_k kron(G_k, G_k) == 2*swap(n,n) - (2/n) I`` numerically."""
     from .swap import swap_by_formula
 
-    lhs = np.zeros((n * n, n * n), dtype=np.complex128)
-    for g in basis(n).matrices:
-        lhs += np.kron(g, g)
+    lhs = _sum_kron_squares(basis(n).matrices, n)
     rhs = 2.0 * swap_by_formula(n, n).dense() - (2.0 / n) * identity(n * n)
     err = max_abs_diff(lhs, rhs)
     return ClosedFormReport(n=n, max_error=err, abs_eps=abs_eps, passed=err <= abs_eps)
 
 
-def swap_32_expression():
-    """Six-term product-generator expression equal to the 3 (x) 2 swap.
+def _six_term_pairs():
+    """The (3-factor, 2-factor) pairs of the six-term 3 (x) 2 swap expression.
 
-    Each term is an elementary 6 x 6 matrix written as a tensor product of
-    its factor expansions over {I_3, lambda} and {I_2, sigma}; the terms
-    are evaluated literally, term by term.
+    Each pair is an elementary 6 x 6 matrix of the swap written as the
+    tensor product of its factor expansions over {I_3, lambda} and
+    {I_2, sigma}.
     """
     i2, i3 = identity(2), identity(3)
     s1, s2, s3 = basis(2).matrices
     l = basis(3).matrices  # l[0] = lambda_1, ..., l[7] = lambda_8
     rt3 = np.sqrt(3.0)
-    terms = [
-        np.kron(i3 / 3 + l[2] / 2 + rt3 / 6 * l[7], i2 / 2 + s3 / 2),
-        np.kron(l[0] / 2 + 0.5j * l[1], s1 / 2 - 0.5j * s2),
-        np.kron(l[5] / 2 + 0.5j * l[6], i2 / 2 + s3 / 2),
-        np.kron(l[0] / 2 - 0.5j * l[1], i2 / 2 - s3 / 2),
-        np.kron(l[5] / 2 - 0.5j * l[6], s1 / 2 + 0.5j * s2),
-        np.kron(i3 / 3 - rt3 / 3 * l[7], i2 / 2 - s3 / 2),
+    return [
+        (i3 / 3 + l[2] / 2 + rt3 / 6 * l[7], i2 / 2 + s3 / 2),
+        (l[0] / 2 + 0.5j * l[1], s1 / 2 - 0.5j * s2),
+        (l[5] / 2 + 0.5j * l[6], i2 / 2 + s3 / 2),
+        (l[0] / 2 - 0.5j * l[1], i2 / 2 - s3 / 2),
+        (l[5] / 2 - 0.5j * l[6], s1 / 2 + 0.5j * s2),
+        (i3 / 3 - rt3 / 3 * l[7], i2 / 2 - s3 / 2),
     ]
+
+
+def _six_term_expression(three_first):
+    """Evaluate the six terms literally, with the 3-factor outer or inner.
+
+    With the 3-factor inner, the two factors of each term trade places and
+    are transposed (which negates the antisymmetric generators and keeps
+    the others); the terms are then those of the 2 (x) 3 swap,
+    ``swap(3, 2).T``.
+    """
+    if three_first:
+        terms = [np.kron(a, b) for a, b in _six_term_pairs()]
+    else:
+        terms = [np.kron(b.T, a.T) for a, b in _six_term_pairs()]
     return sum(terms)
+
+
+def swap_32_expression():
+    """Six-term product-generator expression equal to the 3 (x) 2 swap."""
+    return _six_term_expression(three_first=True)
 
 
 def swap_23_expression():
     """Six-term product-generator expression equal to the 2 (x) 3 swap."""
-    i2, i3 = identity(2), identity(3)
-    s1, s2, s3 = basis(2).matrices
-    l = basis(3).matrices
-    rt3 = np.sqrt(3.0)
-    terms = [
-        np.kron(i2 / 2 + s3 / 2, i3 / 3 + l[2] / 2 + rt3 / 6 * l[7]),
-        np.kron(s1 / 2 + 0.5j * s2, l[0] / 2 - 0.5j * l[1]),
-        np.kron(i2 / 2 + s3 / 2, l[5] / 2 - 0.5j * l[6]),
-        np.kron(i2 / 2 - s3 / 2, l[0] / 2 + 0.5j * l[1]),
-        np.kron(s1 / 2 - 0.5j * s2, l[5] / 2 + 0.5j * l[6]),
-        np.kron(i2 / 2 - s3 / 2, i3 / 3 - rt3 / 3 * l[7]),
-    ]
-    return sum(terms)
+    return _six_term_expression(three_first=False)

@@ -68,7 +68,8 @@ class SwapMatrix:
 
     def one_positions(self):
         """1-based (row, col) pairs of the ones, sorted by row."""
-        return sorted((int(self.perm[col]) + 1, col + 1) for col in range(self.size))
+        cols = np.argsort(self.perm)
+        return list(zip((self.perm[cols] + 1).tolist(), (cols + 1).tolist()))
 
 
 def _check_dims(p, q):

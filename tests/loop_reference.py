@@ -1,18 +1,20 @@
-"""Cell-by-cell projections kept as the reference for the library's
+"""Term-by-term loops kept as the reference for the library's
 matrix-product forms.
 
 ``decompose_product``/``reconstruct_product`` and
 ``expand_in_basis``/``reconstruct`` compute every coefficient at once from
-stacks of vectorized basis matrices.  The loops here evaluate the same
-quantities one basis element at a time, straight from the definitions:
-one Hilbert-Schmidt inner product per cell, one Kronecker product per
-term.
+stacks of vectorized basis matrices, and the family sums and the
+closed-form check add up their Kronecker squares through one realigned
+product.  The loops here evaluate the same quantities one basis element
+at a time, straight from the definitions: one Hilbert-Schmidt inner
+product per cell, one Kronecker product per term.  ``one_positions``
+sorts the (row, col) pairs of a swap as Python tuples.
 """
 
 import numpy as np
 
-from tcm.gellmann import basis
-from tcm.matops import hs_inner, identity, trace
+from tcm.gellmann import antisymmetric_generator, basis, diagonal_generator, symmetric_generator
+from tcm.matops import elementary, hs_inner, identity, trace
 
 
 def extended_factors(n):
@@ -60,3 +62,55 @@ def basis_sum(n, c0, c):
     for ck, g in zip(c, basis(n).matrices):
         out += ck * g
     return out
+
+
+def offdiag_family_sum(n):
+    """``sum_{i<j} kron(S_ij, S_ij) + kron(A_ij, A_ij)``."""
+    out = np.zeros((n * n, n * n), dtype=np.complex128)
+    for j in range(2, n + 1):
+        for i in range(1, j):
+            s = symmetric_generator(n, i, j)
+            a = antisymmetric_generator(n, i, j)
+            out += np.kron(s, s) + np.kron(a, a)
+    return out
+
+
+def offdiag_family_reference(n):
+    """``2 sum_{i!=j} kron(E_ij, E_ji)``."""
+    out = np.zeros((n * n, n * n), dtype=np.complex128)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i != j:
+                out += 2.0 * np.kron(elementary(n, i, j), elementary(n, j, i))
+    return out
+
+
+def diagonal_family_sum(n):
+    """``sum_{d=1..n-1} kron(D_d, D_d)``."""
+    out = np.zeros((n * n, n * n), dtype=np.complex128)
+    for d in range(1, n):
+        g = diagonal_generator(n, d)
+        out += np.kron(g, g)
+    return out
+
+
+def diagonal_family_reference(n):
+    """``-(2/n) I + 2 sum_i kron(E_ii, E_ii)``."""
+    out = -(2.0 / n) * identity(n * n)
+    for i in range(1, n + 1):
+        e = elementary(n, i, i)
+        out += 2.0 * np.kron(e, e)
+    return out
+
+
+def closed_form_lhs(n):
+    """``sum_k kron(G_k, G_k)`` over ``basis(n)``."""
+    out = np.zeros((n * n, n * n), dtype=np.complex128)
+    for g in basis(n).matrices:
+        out += np.kron(g, g)
+    return out
+
+
+def one_positions(u):
+    """1-based (row, col) pairs of the ones of a swap, sorted by row."""
+    return sorted((int(u.perm[col]) + 1, col + 1) for col in range(u.size))

@@ -216,6 +216,18 @@ class TestVerifyCommand:
         result = run_cli("verify", "--n-max", "1")
         assert result.returncode == 2
 
+    @pytest.mark.parametrize("n_max", ["65", "1000000000"])
+    def test_oversize_n_max_exits_2_before_any_check(self, n_max, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("verify ran a check past the size gate")
+
+        monkeypatch.setattr(cli, "verify_closed_form", never)
+        assert cli.main(["verify", "--n-max", n_max]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "--n-max must be at most 64" in captured.err
+
     def test_impossible_tolerance_exits_1(self):
         result = run_cli("verify", "--n-max", "3", "--tol", "1e-18")
         assert result.returncode == 1

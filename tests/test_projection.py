@@ -1,12 +1,14 @@
-"""The matrix-product projections against the cell-by-cell loops."""
+"""The matrix-product forms against the term-by-term loops."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import loop_reference as loops
 from loop_reference import basis_coefficients, basis_sum, product_grid, product_sum
-from tcm.gellmann import BasisCoefficients, expand_in_basis, reconstruct
+from tcm import product
+from tcm.gellmann import BasisCoefficients, basis, expand_in_basis, reconstruct
 from tcm.matops import DEFAULT_ABS_EPS, max_abs_diff
 from tcm.product import ProductCoefficients, decompose_product, reconstruct_product
 
@@ -66,3 +68,22 @@ def test_round_trips_beyond_loop_reach(p, q):
     assert max_abs_diff(reconstruct_product(coeffs), m) <= DEFAULT_ABS_EPS
     again = decompose_product(reconstruct_product(coeffs), p, q)
     assert np.max(np.abs(again.grid - coeffs.grid)) <= DEFAULT_ABS_EPS
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_identity_sums_match_kron_loops(n):
+    for name in (
+        "offdiag_family_sum",
+        "offdiag_family_reference",
+        "diagonal_family_sum",
+        "diagonal_family_reference",
+    ):
+        assert max_abs_diff(getattr(product, name)(n), getattr(loops, name)(n)) <= 1e-12, name
+    lhs = product._sum_kron_squares(basis(n).matrices, n)
+    assert max_abs_diff(lhs, loops.closed_form_lhs(n)) <= 1e-12
+
+
+def test_closed_form_beyond_loop_reach():
+    report = product.verify_closed_form(32)
+    assert report.passed
+    assert report.max_error <= 1e-12

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import loop_reference
 from tcm.matops import identity, kron, matmul, max_abs_diff, trace
 from tcm.swap import SwapMatrix, swap_by_formula, swap_by_rule
 
@@ -72,6 +75,18 @@ class TestRule:
         np.testing.assert_array_equal(swap_by_rule(p, q).dense(), identity(p * q))
 
 
+class TestOnePositions:
+    @settings(max_examples=80, deadline=None)
+    @given(p=st.integers(1, 40), q=st.integers(1, 40))
+    def test_matches_sorted_tuples(self, p, q):
+        u = swap_by_formula(p, q)
+        assert u.one_positions() == loop_reference.one_positions(u)
+
+    def test_plain_int_tuples(self):
+        positions = swap_by_formula(3, 2).one_positions()
+        assert all(type(r) is int and type(c) is int for r, c in positions)
+
+
 class TestApply:
     @pytest.mark.parametrize("p,q", [(2, 2), (3, 2), (2, 3), (4, 5)])
     def test_defining_property(self, p, q):
@@ -121,6 +136,12 @@ class TestDense:
             u = swap_by_formula(p, q).dense()
             v = swap_by_formula(q, p).dense()
             np.testing.assert_array_equal(u.T, v)
+
+    @settings(max_examples=80, deadline=None)
+    @given(p=st.integers(1, 12), q=st.integers(1, 12))
+    def test_transpose_is_reverse_swap(self, p, q):
+        for build in (swap_by_formula, swap_by_rule):
+            np.testing.assert_array_equal(build(p, q).dense().T, build(q, p).dense())
 
     def test_unitary(self):
         u = swap_by_formula(3, 4).dense()
