@@ -6,17 +6,7 @@ dimension n >= 2, and decomposes operators over single and product
 generator bases by Hilbert-Schmidt projection.
 """
 
-from .matops import (
-    DEFAULT_ABS_EPS,
-    dagger,
-    elementary,
-    hs_inner,
-    identity,
-    kron,
-    matmul,
-    max_abs_diff,
-    trace,
-)
+from .matops import DEFAULT_ABS_EPS, hs_inner, identity, max_abs_diff
 from .gellmann import (
     BasisCoefficients,
     GellMannBasis,
@@ -58,18 +48,14 @@ __all__ = [
     "antisymmetric_generator",
     "basis",
     "closed_form_swap_coefficients",
-    "dagger",
     "decompose_product",
     "diagonal_family_reference",
     "diagonal_family_sum",
     "diagonal_generator",
-    "elementary",
     "expand_in_basis",
     "extended_labels",
     "hs_inner",
     "identity",
-    "kron",
-    "matmul",
     "max_abs_diff",
     "offdiag_family_reference",
     "offdiag_family_sum",
@@ -80,6 +66,5 @@ __all__ = [
     "swap_by_formula",
     "swap_by_rule",
     "symmetric_generator",
-    "trace",
     "verify_closed_form",
 ]

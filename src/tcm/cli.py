@@ -113,7 +113,9 @@ def _load_matrix_file(path):
             data = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read matrix file {path!r}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, UnicodeDecodeError and integers with too many
+        # digits are ValueErrors; nesting too deep is a RecursionError
         raise InputError(f"matrix file {path!r} is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise InputError(f"matrix file {path!r} must hold a JSON object")
@@ -135,7 +137,10 @@ def _load_matrix_file(path):
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
         ):
             raise InputError(f"matrix file {path!r}: entries must be [re, im] pairs")
-        values.append(complex(entry[0], entry[1]))
+        try:
+            values.append(complex(entry[0], entry[1]))
+        except OverflowError:
+            raise InputError(f"matrix file {path!r}: an entry is too large for a float")
     try:
         return as_matrix(np.array(values, dtype=np.complex128).reshape(rows, cols))
     except ValueError as exc:
@@ -260,12 +265,8 @@ def cmd_decompose(args):
     coeffs = decompose_product(m, p, q)
     left = extended_labels(p)
     right = extended_labels(q)
-    kept = [
-        (a, b, coeffs.grid[a, b])
-        for a in range(p * p)
-        for b in range(q * q)
-        if abs(coeffs.grid[a, b]) > args.threshold
-    ]
+    rows, cols = np.nonzero(np.abs(coeffs.grid) > args.threshold)
+    kept = [(a, b, coeffs.grid[a, b]) for a, b in zip(rows.tolist(), cols.tolist())]
 
     if args.format == "json":
         _dump_json(

@@ -156,17 +156,18 @@ def basis(n):
 
 
 def extended_stack(n):
-    """Vectorized ``{identity} + basis(n)`` and the squared HS norms.
+    """Vectorized ``{identity} + basis(n)`` and the squared HS norms, n >= 1.
 
     Returns an (n^2, n^2) array whose row 0 is the row-major ``vec`` of
     ``identity(n)`` and whose row k >= 1 is that of the k-th generator,
     built on every call from the cached :func:`basis`, together with the
-    squared norms: n for the identity, 2 for each generator.
+    squared norms: n for the identity, 2 for each generator.  Dimension 1
+    has no generators: its stack is ``[[1]]`` with norms ``[1]``.
     """
-    generators = basis(n).matrices
     stack = np.empty((n * n, n, n), dtype=np.complex128)
     stack[0] = identity(n)
-    stack[1:] = generators
+    if n > 1:
+        stack[1:] = basis(n).matrices
     norms = np.full(n * n, 2.0)
     norms[0] = n
     return stack.reshape(n * n, n * n), norms
@@ -175,7 +176,7 @@ def extended_stack(n):
 def expand_in_basis(m, n=None):
     """Expand ``m`` over ``{identity} + basis(n)`` by orthogonal projection.
 
-    ``c0 = trace(m) / n`` and ``c[k] = hs_inner(basis_k, m) / 2``, all
+    ``c0 = Tr(m) / n`` and ``c[k] = hs_inner(basis_k, m) / 2``, all
     computed as one product of the conjugated :func:`extended_stack` with
     ``vec(m)``; the input need not be hermitian, in which case
     coefficients are complex.

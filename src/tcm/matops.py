@@ -1,11 +1,12 @@
-"""Dense complex matrix operations used throughout the package.
+"""Dense complex matrix helpers used throughout the package.
 
-Matrices are plain numpy arrays with dtype ``complex128``.  The Kronecker
-product uses the composite-index convention ``outer * inner_dim + inner``:
-the entry of ``kron(a, b)`` at composite row ``(i1, i2)`` and composite
-column ``(j1, j2)`` equals ``a[i1, j1] * b[i2, j2]``, stored at row
+Matrices are plain numpy arrays with dtype ``complex128``.  Composite
+indices follow the block layout of ``np.kron``: the entry of
+``np.kron(a, b)`` at composite row ``(i1, i2)`` and composite column
+``(j1, j2)`` equals ``a[i1, j1] * b[i2, j2]``, stored at row
 ``i1 * b_rows + i2``, column ``j1 * b_cols + j2``.  Indices at the API
-surface (``elementary``) are 1-based; everything internal is 0-based.
+surface (generator labels, swap positions) are 1-based; everything
+internal is 0-based.
 """
 
 import numpy as np
@@ -14,9 +15,6 @@ import numpy as np
 #: are O(1) and intermediate magnitudes stay below the matrix dimension, so
 #: double precision leaves several orders of headroom at supported sizes.
 DEFAULT_ABS_EPS = 1e-10
-
-# Refuse Kronecker results beyond this entry count (~1 GiB of complex128).
-_MAX_KRON_ENTRIES = 2**26
 
 
 def as_matrix(m):
@@ -36,51 +34,8 @@ def identity(n):
     return np.eye(n, dtype=np.complex128)
 
 
-def elementary(r, i, j):
-    """r x r matrix with a single 1 at row ``i``, column ``j`` (1-based)."""
-    if r < 1:
-        raise ValueError(f"matrix dimension must be positive, got {r}")
-    if not (1 <= i <= r and 1 <= j <= r):
-        raise ValueError(f"elementary indices ({i},{j}) out of range for r={r}")
-    m = np.zeros((r, r), dtype=np.complex128)
-    m[i - 1, j - 1] = 1.0
-    return m
-
-
-def kron(a, b):
-    """Kronecker product of ``a`` by ``b`` (block layout, ``a`` outer)."""
-    a, b = as_matrix(a), as_matrix(b)
-    if a.size * b.size > _MAX_KRON_ENTRIES:
-        raise MemoryError(
-            f"kron result would hold {a.size * b.size} entries "
-            f"(limit {_MAX_KRON_ENTRIES})"
-        )
-    return np.kron(a, b)
-
-
-def matmul(a, b):
-    """Standard matrix product."""
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} by {b.shape}")
-    return a @ b
-
-
-def dagger(a):
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T
-
-
-def trace(a):
-    """Sum of diagonal entries of a square matrix."""
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"trace needs a square matrix, got {a.shape}")
-    return complex(np.trace(a))
-
-
 def hs_inner(a, b):
-    """Hilbert-Schmidt inner product ``Tr(dagger(a) @ b)``.
+    """Hilbert-Schmidt inner product ``Tr(a.conj().T @ b)``.
 
     Conjugate-linear in the first argument; defined for any pair of
     same-shaped matrices.

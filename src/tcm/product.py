@@ -70,16 +70,6 @@ class ClosedFormReport:
     passed: bool
 
 
-def _factor_stack(n):
-    """Vectorized extended factor basis of dimension n and its squared norms.
-
-    Dimension 1 has no generators; its extended basis is just ``I_1``.
-    """
-    if n == 1:
-        return np.ones((1, 1), dtype=np.complex128), np.ones(1)
-    return extended_stack(n)
-
-
 def _realign(m, p, q):
     """``R(m)``: the (p^2, q^2) rearrangement of a pq x pq matrix."""
     return m.reshape(p, q, p, q).transpose(0, 2, 1, 3).reshape(p * p, q * q)
@@ -110,8 +100,8 @@ def decompose_product(m, p, q):
         raise ValueError(f"factor dimensions must be positive, got p={p}, q={q}")
     if m.shape != (p * q, p * q):
         raise ValueError(f"matrix shape {m.shape} does not match p*q = {p * q}")
-    a_stack, a_norms = _factor_stack(p)
-    b_stack, b_norms = _factor_stack(q)
+    a_stack, a_norms = extended_stack(p)
+    b_stack, b_norms = extended_stack(q)
     grid = a_stack.conj() @ _realign(m, p, q) @ b_stack.conj().T
     return ProductCoefficients(p=p, q=q, grid=grid / np.outer(a_norms, b_norms))
 
@@ -119,8 +109,8 @@ def decompose_product(m, p, q):
 def reconstruct_product(coeffs):
     """Evaluate ``sum_ab grid[a, b] * kron(A_a, B_b)``."""
     p, q = coeffs.p, coeffs.q
-    a_stack, _ = _factor_stack(p)
-    b_stack, _ = _factor_stack(q)
+    a_stack, _ = extended_stack(p)
+    b_stack, _ = extended_stack(q)
     return _unrealign(a_stack.T @ coeffs.grid @ b_stack, p, q)
 
 

@@ -8,13 +8,21 @@ closed-form check add up their Kronecker squares through one realigned
 product.  The loops here evaluate the same quantities one basis element
 at a time, straight from the definitions: one Hilbert-Schmidt inner
 product per cell, one Kronecker product per term.  ``one_positions``
-sorts the (row, col) pairs of a swap as Python tuples.
+sorts the (row, col) pairs of a swap as Python tuples, and ``elementary``
+places a single 1 by its 1-based indices.
 """
 
 import numpy as np
 
 from tcm.gellmann import antisymmetric_generator, basis, diagonal_generator, symmetric_generator
-from tcm.matops import elementary, hs_inner, identity, trace
+from tcm.matops import hs_inner, identity
+
+
+def elementary(n, i, j):
+    """n x n matrix with a single 1 at row ``i``, column ``j`` (1-based)."""
+    m = np.zeros((n, n), dtype=np.complex128)
+    m[i - 1, j - 1] = 1.0
+    return m
 
 
 def extended_factors(n):
@@ -50,10 +58,10 @@ def product_sum(grid, p, q):
 
 
 def basis_coefficients(m):
-    """``(trace(m) / n, [hs_inner(G_k, m) / 2 for each generator])``."""
+    """``(Tr(m) / n, [hs_inner(G_k, m) / 2 for each generator])``."""
     n = m.shape[0]
     c = np.array([hs_inner(g, m) / 2.0 for g in basis(n).matrices], dtype=np.complex128)
-    return trace(m) / n, c
+    return np.trace(m) / n, c
 
 
 def basis_sum(n, c0, c):

@@ -13,8 +13,9 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 
+from loop_reference import elementary
 from tcm.gellmann import basis, expand_in_basis
-from tcm.matops import elementary, identity, max_abs_diff
+from tcm.matops import identity, max_abs_diff
 from tcm.product import (
     decompose_product,
     diagonal_family_reference,

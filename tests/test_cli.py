@@ -15,6 +15,33 @@ from tcm.product import decompose_product
 from tcm.swap import WalkCheckpointError, swap_by_formula
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "docs" / "schema"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+# (name, arguments, exit code) of the commands whose stdout and stderr are
+# checked in under tests/golden/ as <name>.stdout and <name>.stderr; after an
+# intended output change, regenerate a case with
+# `python -m tcm ARGS > NAME.stdout 2> NAME.stderr`.  Only outputs whose bytes
+# cannot depend on floating-point summation order are listed: no json/csv
+# decompose, no --threshold 0, no verify error columns.
+GOLDEN_CASES = [
+    ("basis-2-json", ["basis", "--n", "2", "--format", "json"], 0),
+    ("basis-3-csv", ["basis", "--n", "3", "--format", "csv"], 0),
+    ("basis-3-pretty", ["basis", "--n", "3"], 0),
+    ("swap-3x2-json", ["swap", "--p", "3", "--q", "2", "--format", "json"], 0),
+    ("swap-3x2-csv", ["swap", "--p", "3", "--q", "2", "--format", "csv"], 0),
+    ("swap-3x2-pretty-both", ["swap", "--p", "3", "--q", "2", "--method", "both"], 0),
+    ("swap-2x3-json-dense-both",
+     ["swap", "--p", "2", "--q", "3", "--format", "json", "--dense", "--method", "both"], 0),
+    ("swap-2x2-csv-dense", ["swap", "--p", "2", "--q", "2", "--format", "csv", "--dense"], 0),
+    ("swap-3x3-pretty-dense-rule", ["swap", "--p", "3", "--q", "3", "--method", "rule", "--dense"], 0),
+    ("swap-1x4-json", ["swap", "--p", "1", "--q", "4", "--format", "json"], 0),
+    ("swap-1x4-csv-both", ["swap", "--p", "1", "--q", "4", "--format", "csv", "--method", "both"], 0),
+    ("swap-1x4-pretty-dense", ["swap", "--p", "1", "--q", "4", "--dense"], 0),
+    ("decompose-swap-2x2", ["decompose", "--p", "2", "--q", "2", "--input", "swap"], 0),
+    ("decompose-swap-3x2", ["decompose", "--p", "3", "--q", "2", "--input", "swap"], 0),
+    ("decompose-swap-1x4", ["decompose", "--p", "1", "--q", "4", "--input", "swap"], 0),
+    ("swap-p0", ["swap", "--p", "0", "--q", "3"], 2),
+]
 
 
 def load_schema(name):
@@ -180,12 +207,19 @@ class TestDecomposeCommand:
             '{"rows": "6", "cols": 6, "entries": []}',
             '{"rows": 2, "cols": 2, "entries": [[1, 0], [0, 0], [0, 0], "x"]}',
             '{"rows": true, "cols": true, "entries": [[1, 0]]}',
+            pytest.param('{"rows": 1, "cols": 1, "entries": [[1%s, 0]]}' % ("0" * 400), id="int-overflow"),
+            pytest.param('{"rows": 1, "cols": 1, "entries": [[1%s, 0]]}' % ("0" * 5000), id="int-digits"),
+            pytest.param(b'{"rows": 1, "cols": 1, "entries": [[1, 0]], "x": "\xff"}', id="not-utf8"),
+            pytest.param("[" * 100_000 + "]" * 100_000, id="deep-nesting"),
         ],
     )
     def test_malformed_file_exits_2(self, tmp_path, content):
         # 1 x 1 so that no case is caught by the later shape check instead
         path = tmp_path / "bad.json"
-        path.write_text(content, encoding="utf-8")
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content, encoding="utf-8")
         result = run_cli("decompose", "--p", "1", "--q", "1", "--input", str(path))
         assert result.returncode == 2
         assert result.stdout == ""
@@ -249,6 +283,14 @@ class TestVerifyCommand:
         env = dict(os.environ, TCM_TOLERANCE="banana")
         result = run_cli("verify", "--n-max", "3", env=env)
         assert result.returncode == 2
+
+
+@pytest.mark.parametrize("name,args,code", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
+def test_golden_output(name, args, code):
+    result = subprocess.run([sys.executable, "-m", "tcm", *args], capture_output=True)
+    assert result.returncode == code
+    assert result.stdout == (GOLDEN_DIR / f"{name}.stdout").read_bytes()
+    assert result.stderr == (GOLDEN_DIR / f"{name}.stderr").read_bytes()
 
 
 class TestUsage:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from loop_reference import elementary
 from tcm.gellmann import (
     BasisCoefficients,
     GeneratorLabel,
@@ -11,7 +12,7 @@ from tcm.gellmann import (
     reconstruct,
     symmetric_generator,
 )
-from tcm.matops import elementary, identity, max_abs_diff
+from tcm.matops import identity, max_abs_diff
 
 RT3 = np.sqrt(3.0)
 

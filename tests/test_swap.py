@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import loop_reference
-from tcm.matops import identity, kron, matmul, max_abs_diff, trace
+from tcm.matops import identity, max_abs_diff
 from tcm.swap import SwapMatrix, swap_by_formula, swap_by_rule
 
 # Frozen 2 (x) 2 swap matrix.
@@ -128,7 +128,7 @@ class TestDense:
         assert set(np.unique(m.real)) == {0.0, 1.0}
 
     def test_inverse_product(self):
-        prod = matmul(swap_by_formula(2, 3).dense(), swap_by_formula(3, 2).dense())
+        prod = swap_by_formula(2, 3).dense() @ swap_by_formula(3, 2).dense()
         np.testing.assert_array_equal(prod, identity(6))
 
     def test_transpose_relation(self):
@@ -145,7 +145,7 @@ class TestDense:
 
     def test_unitary(self):
         u = swap_by_formula(3, 4).dense()
-        np.testing.assert_array_equal(matmul(u, u.conj().T), identity(12))
+        np.testing.assert_array_equal(u @ u.conj().T, identity(12))
 
     def test_trace_counts_fixed_points(self):
         # independent count: columns with perm[c] == c
@@ -157,11 +157,11 @@ class TestDense:
             if j1 * q + j2 == j2 * p + j1
         )
         assert fixed == 2
-        assert trace(swap_by_formula(p, q).dense()) == fixed
+        assert np.trace(swap_by_formula(p, q).dense()) == fixed
 
     def test_self_inverse_square_case(self):
         u = swap_by_formula(3, 3).dense()
-        np.testing.assert_array_equal(matmul(u, u), identity(9))
+        np.testing.assert_array_equal(u @ u, identity(9))
 
 
 class TestSwapMatrixType:
