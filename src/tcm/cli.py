@@ -37,6 +37,7 @@ EXIT_INTERNAL = 3
 # verify's largest accumulator holds n_max^4 entries; 64^4 = 2^24 of them
 # are 256 MB of complex128.
 _MAX_VERIFY_N = 64
+_clear_basis_cache = basis.cache_clear  # bound at import; perfbench's tracer later wraps `basis`
 
 
 class InputError(Exception):
@@ -331,6 +332,7 @@ def cmd_verify(args):
             f"pair families {off_err:.3e}  diagonal family {diag_err:.3e}  "
             f"{'ok' if ok else 'FAIL'}"
         )
+        _clear_basis_cache()  # keep one n's generators alive, not all up to n_max
     if all_ok:
         print(f"verify: all checks passed for n = 2..{args.n_max} (tol {tol:g})")
         return EXIT_OK

@@ -57,28 +57,26 @@ class GeneratorLabel:
 class GellMannBasis:
     """Ordered basis for dimension ``n``: n^2 - 1 (label, matrix) pairs.
 
-    The matrices are shared, read-only arrays; copy before modifying.
+    ``stack`` is one shared, read-only (n^2, n, n) array holding
+    ``identity(n)`` and then ``matrices``; copy before modifying.
     """
 
     n: int
-    elements: tuple
-
-    @property
-    def labels(self):
-        return tuple(label for label, _ in self.elements)
+    labels: tuple
+    stack: np.ndarray
 
     @property
     def matrices(self):
-        return tuple(matrix for _, matrix in self.elements)
+        return self.stack[1:]
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.labels)
 
     def __iter__(self):
-        return iter(self.elements)
+        return zip(self.labels, self.matrices)
 
     def __getitem__(self, k):
-        return self.elements[k]
+        return self.labels[k], self.matrices[k]
 
 
 @dataclass(frozen=True)
@@ -127,8 +125,7 @@ def diagonal_generator(n, d):
         raise ValueError(f"diagonal index needs 1 <= d <= n-1, got d={d} for n={n}")
     scale = 1.0 / np.sqrt(d * (d + 1) / 2.0)
     m = np.zeros((n, n), dtype=np.complex128)
-    for k in range(d):
-        m[k, k] = scale
+    m[range(d), range(d)] = scale
     m[d, d] = -d * scale
     return m
 
@@ -139,35 +136,37 @@ def basis(n):
 
     Order: for j = 2..n emit S(i,j), A(i,j) for i = 1..j-1, then D(j-1).
     At n=2 this is (sigma_1, sigma_2, sigma_3); at n=3 it is the classical
-    (lambda_1, ..., lambda_8).  Results are cached; the matrices are marked
-    read-only so the cache stays safe to share between callers and threads.
+    (lambda_1, ..., lambda_8).  Results are cached; the stack is filled in
+    place and marked read-only so the cache stays safe to share.
     """
     if n < 2:
         raise ValueError(f"basis dimension must be at least 2, got {n}")
-    elements = []
+    labels = []
+    stack = np.empty((n * n, n, n), dtype=np.complex128)
+    stack[0] = identity(n)
     for j in range(2, n + 1):
         for i in range(1, j):
-            elements.append((GeneratorLabel(SYMMETRIC, i=i, j=j), symmetric_generator(n, i, j)))
-            elements.append((GeneratorLabel(ANTISYMMETRIC, i=i, j=j), antisymmetric_generator(n, i, j)))
-        elements.append((GeneratorLabel(DIAGONAL, d=j - 1), diagonal_generator(n, j - 1)))
-    for _, matrix in elements:
-        matrix.setflags(write=False)
-    return GellMannBasis(n=n, elements=tuple(elements))
+            labels.append(GeneratorLabel(SYMMETRIC, i=i, j=j))
+            stack[len(labels)] = symmetric_generator(n, i, j)
+            labels.append(GeneratorLabel(ANTISYMMETRIC, i=i, j=j))
+            stack[len(labels)] = antisymmetric_generator(n, i, j)
+        labels.append(GeneratorLabel(DIAGONAL, d=j - 1))
+        stack[len(labels)] = diagonal_generator(n, j - 1)
+    stack.setflags(write=False)
+    return GellMannBasis(n=n, labels=tuple(labels), stack=stack)
 
 
 def extended_stack(n):
     """Vectorized ``{identity} + basis(n)`` and the squared HS norms, n >= 1.
 
-    Returns an (n^2, n^2) array whose row 0 is the row-major ``vec`` of
-    ``identity(n)`` and whose row k >= 1 is that of the k-th generator,
-    built on every call from the cached :func:`basis`, together with the
-    squared norms: n for the identity, 2 for each generator.  Dimension 1
-    has no generators: its stack is ``[[1]]`` with norms ``[1]``.
+    Returns ``basis(n).stack`` viewed as (n^2, n^2): row k is the
+    row-major ``vec`` of element k, the identity first.  The squared norms
+    are n for the identity and 2 for each generator.  Dimension 1 has no
+    generators: its stack is ``[[1]]`` with norms ``[1]``.
     """
-    stack = np.empty((n * n, n, n), dtype=np.complex128)
-    stack[0] = identity(n)
-    if n > 1:
-        stack[1:] = basis(n).matrices
+    if n < 1:
+        raise ValueError(f"extended stack dimension must be positive, got {n}")
+    stack = basis(n).stack if n > 1 else identity(1)
     norms = np.full(n * n, 2.0)
     norms[0] = n
     return stack.reshape(n * n, n * n), norms

@@ -52,6 +52,8 @@ class ProductCoefficients:
     grid: np.ndarray
 
     def __post_init__(self):
+        if self.p < 1 or self.q < 1:
+            raise ValueError(f"factor dimensions must be positive, got p={self.p}, q={self.q}")
         grid = np.asarray(self.grid, dtype=np.complex128)
         expected = (self.p * self.p, self.q * self.q)
         if grid.shape != expected:
@@ -96,8 +98,6 @@ def decompose_product(m, p, q):
     products on the realigned ``m``.
     """
     m = as_matrix(m)
-    if p < 1 or q < 1:
-        raise ValueError(f"factor dimensions must be positive, got p={p}, q={q}")
     if m.shape != (p * q, p * q):
         raise ValueError(f"matrix shape {m.shape} does not match p*q = {p * q}")
     a_stack, a_norms = extended_stack(p)
@@ -126,7 +126,7 @@ def closed_form_swap_coefficients(n):
 
 
 def _sum_kron_squares(matrices, n):
-    """``sum_k kron(M_k, M_k)`` over n x n matrices, as ``R^-1(V.T @ V)``.
+    """``sum_k kron(M_k, M_k)`` over a (k, n, n) stack, as ``R^-1(V.T @ V)``.
 
     ``R(kron(A, A)) = outer(vec(A), vec(A))``, so with V the (k, n^2)
     stack of ``vec(M_k)`` the whole sum is one product, realigned back.
@@ -136,10 +136,9 @@ def _sum_kron_squares(matrices, n):
 
 
 def _family(n, diagonal):
-    """The D generators of ``basis(n)``, or the S/A ones, in canonical order."""
-    if n < 2:
-        raise ValueError(f"family sums need n >= 2, got {n}")
-    return [m for label, m in basis(n) if (label.kind == DIAGONAL) == diagonal]
+    """The D generators of ``basis(n)``, or the S/A ones, as one stack."""
+    b = basis(n)
+    return b.matrices[[(label.kind == DIAGONAL) == diagonal for label in b.labels]]
 
 
 def offdiag_family_sum(n):

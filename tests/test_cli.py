@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import io
 import json
 import subprocess
@@ -8,21 +9,27 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import tcm
 from tcm import cli
 from tcm.gellmann import basis
 from tcm.product import decompose_product
 from tcm.swap import WalkCheckpointError, swap_by_formula
 
-SCHEMA_DIR = Path(__file__).resolve().parents[1] / "docs" / "schema"
+ROOT = Path(__file__).resolve().parents[1]
+SCHEMA_DIR = ROOT / "docs" / "schema"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 # (name, arguments, exit code) of the commands whose stdout and stderr are
 # checked in under tests/golden/ as <name>.stdout and <name>.stderr; after an
 # intended output change, regenerate a case with
 # `python -m tcm ARGS > NAME.stdout 2> NAME.stderr`.  Only outputs whose bytes
-# cannot depend on floating-point summation order are listed: no json/csv
-# decompose, no --threshold 0, no verify error columns.
+# cannot depend on floating-point summation order are listed: json/csv
+# decompose only of the swap at 2x2 and 1x4, whose coefficients are exact
+# (they pin the printed sign of each zero imaginary part), no --threshold 0,
+# no verify error columns.
 GOLDEN_CASES = [
     ("basis-2-json", ["basis", "--n", "2", "--format", "json"], 0),
     ("basis-3-csv", ["basis", "--n", "3", "--format", "csv"], 0),
@@ -40,6 +47,10 @@ GOLDEN_CASES = [
     ("decompose-swap-2x2", ["decompose", "--p", "2", "--q", "2", "--input", "swap"], 0),
     ("decompose-swap-3x2", ["decompose", "--p", "3", "--q", "2", "--input", "swap"], 0),
     ("decompose-swap-1x4", ["decompose", "--p", "1", "--q", "4", "--input", "swap"], 0),
+    ("decompose-swap-2x2-json", ["decompose", "--p", "2", "--q", "2", "--input", "swap", "--format", "json"], 0),
+    ("decompose-swap-2x2-csv", ["decompose", "--p", "2", "--q", "2", "--input", "swap", "--format", "csv"], 0),
+    ("decompose-swap-1x4-json", ["decompose", "--p", "1", "--q", "4", "--input", "swap", "--format", "json"], 0),
+    ("decompose-swap-1x4-csv", ["decompose", "--p", "1", "--q", "4", "--input", "swap", "--format", "csv"], 0),
     ("swap-p0", ["swap", "--p", "0", "--q", "3"], 2),
 ]
 
@@ -262,6 +273,26 @@ class TestVerifyCommand:
         assert captured.err.count("\n") == 1
         assert "--n-max must be at most 64" in captured.err
 
+    def test_keeps_no_basis_cached(self, capsys):
+        # each n's generators are dropped once checked, not kept up to --n-max
+        basis(3)
+        assert cli.main(["verify", "--n-max", "5"]) == 0
+        assert basis.cache_info().currsize == 0
+
+    def test_keeps_no_basis_cached_under_the_benchmark_tracer(self, capsys):
+        # perfbench/tracer.py replaces `basis` in every tcm namespace by a plain wrapper
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        names = ("matops", "gellmann", "swap", "product", "cli")
+        tracer = tracing.Tracer({"tcm": tcm, **{name: getattr(tcm, name) for name in names}})
+        tracer.install()
+        try:
+            assert cli.main(["verify", "--n-max", "3"]) == 0
+        finally:
+            tracer.uninstall()
+        assert basis.cache_info().currsize == 0
+
     def test_impossible_tolerance_exits_1(self):
         result = run_cli("verify", "--n-max", "3", "--tol", "1e-18")
         assert result.returncode == 1
@@ -283,6 +314,38 @@ class TestVerifyCommand:
         env = dict(os.environ, TCM_TOLERANCE="banana")
         result = run_cli("verify", "--n-max", "3", env=env)
         assert result.returncode == 2
+
+
+# (arguments, schema) of in-process JSON requests at random small sizes
+JSON_REQUESTS = st.one_of(
+    st.builds(lambda n: (["basis", "--n", str(n)], "basis"), st.integers(2, 5)),
+    st.builds(
+        lambda p, q, method, dense: (
+            ["swap", "--p", str(p), "--q", str(q), "--method", method] + (["--dense"] if dense else []),
+            "swap",
+        ),
+        st.integers(1, 5),
+        st.integers(1, 5),
+        st.sampled_from(["formula", "rule", "both"]),
+        st.booleans(),
+    ),
+    st.builds(
+        lambda p, q: (["decompose", "--p", str(p), "--q", str(q), "--input", "swap", "--threshold", "0"], "decompose"),
+        st.integers(1, 5),
+        st.integers(1, 5),
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(request=JSON_REQUESTS)
+def test_json_follows_schema_at_random_sizes(request, capsys):
+    args, schema = request
+    capsys.readouterr()
+    assert cli.main([*args, "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    jsonschema.validate(json.loads(out), load_schema(schema))
 
 
 @pytest.mark.parametrize("name,args,code", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])

@@ -9,6 +9,7 @@ from tcm.gellmann import (
     basis,
     diagonal_generator,
     expand_in_basis,
+    extended_stack,
     reconstruct,
     symmetric_generator,
 )
@@ -122,6 +123,52 @@ class TestBasis:
         m = basis(4).matrices[0]
         with pytest.raises(ValueError):
             m[0, 0] = 5
+
+
+class TestStack:
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_one_read_only_stack_with_identity_first(self, n):
+        b = basis(n)
+        assert not hasattr(b, "elements")
+        assert b.stack.shape == (n * n, n, n)
+        assert b.stack.dtype == np.complex128
+        assert not b.stack.flags.writeable
+        np.testing.assert_array_equal(b.stack[0], identity(n))
+        assert np.shares_memory(b.matrices, b.stack)
+        stack, norms = extended_stack(n)
+        assert np.shares_memory(stack[0], b.stack)
+        assert not stack[0].flags.writeable
+        assert norms.tolist() == [n] + [2.0] * (n * n - 1)
+
+    def test_pairs_view_the_stack(self):
+        b = basis(3)
+        pairs = list(b)
+        assert len(pairs) == len(b) == 8
+        label, matrix = b[-1]
+        assert str(label) == "D(2)"
+        assert np.shares_memory(matrix, b.stack)
+        for k, (label, matrix) in enumerate(pairs, start=1):
+            assert label == b.labels[k - 1]
+            np.testing.assert_array_equal(matrix, b.stack[k])
+
+    def test_antisymmetric_entries_keep_negative_zero_real_parts(self):
+        # -1j is complex(-0.0, -1.0); the json output of `tcm basis` prints that sign
+        a12 = basis(2).matrices[1]
+        assert np.signbit(a12[0, 1].real) and not np.signbit(a12[1, 0].real)
+
+    def test_one_dimensional_stack(self):
+        stack, norms = extended_stack(1)
+        assert stack.tolist() == [[1]]
+        assert norms.tolist() == [1]
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda: extended_stack(0), lambda: extended_stack(-2), lambda: expand_in_basis(np.zeros((0, 0)))],
+        ids=["extended_stack(0)", "extended_stack(-2)", "expand_in_basis(0x0)"],
+    )
+    def test_dimension_below_one_raises_value_error(self, call):
+        with pytest.raises(ValueError):
+            call()
 
 
 class TestExpand:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from loop_reference import elementary
+from tcm import product
 from tcm.gellmann import basis, diagonal_generator, symmetric_generator
 from tcm.matops import as_matrix, hs_inner, identity, max_abs_diff
 from tcm.product import decompose_product
@@ -54,6 +55,18 @@ class TestElementary:
 
 class TestKron:
     """The block layout of ``np.kron``, the package's composite-index convention."""
+
+    @pytest.mark.parametrize("p,q", [(2, 3), (3, 2), (1, 4), (4, 1), (2, 5)])
+    def test_realignment_matches_oracle(self, p, q):
+        # R(kron(A, B)) = outer(vec A, vec B) is what every projection relies on.
+        # Integer entries make every product exact, so equality is bitwise.
+        rng = np.random.default_rng(10 * p + q)
+        a = rng.integers(-50, 51, (p, p)) + 1j * rng.integers(-50, 51, (p, p))
+        b = rng.integers(-50, 51, (q, q)) + 1j * rng.integers(-50, 51, (q, q))
+        k = kron_oracle(a, b)
+        outer = np.outer(a.ravel(), b.ravel())
+        np.testing.assert_array_equal(product._realign(k, p, q), outer)
+        np.testing.assert_array_equal(product._unrealign(outer, p, q), k)
 
     def test_block_definition(self):
         x = np.array([[0, 1], [1, 0]])

@@ -164,6 +164,19 @@ class TestReconstruct:
         back = reconstruct_product(decompose_product(m, 1, 3))
         assert max_abs_diff(back, m) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "p,q,shape", [(-1, -1, (1, 1)), (0, 2, (0, 4)), (2, 0, (4, 0)), (0, 0, (0, 0)), (-2, 3, (4, 9))]
+    )
+    def test_dimensions_below_one_rejected(self, p, q, shape):
+        # (-1)^2 = 1, so a shape check alone would accept the first case
+        with pytest.raises(ValueError):
+            ProductCoefficients(p=p, q=q, grid=np.zeros(shape))
+
+    @pytest.mark.parametrize("p,q,size", [(0, 0, 0), (0, 3, 0), (-1, -2, 2)])
+    def test_decompose_rejects_dimensions_below_one(self, p, q, size):
+        with pytest.raises(ValueError):
+            decompose_product(np.zeros((size, size)), p, q)
+
 
 class TestClosedForm:
     @pytest.mark.parametrize("n", [2, 3, 7])
