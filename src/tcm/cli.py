@@ -9,10 +9,10 @@ is also the accepted input file format for ``decompose``.
 """
 
 import argparse
-import csv
 import json
 import os
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -64,20 +64,68 @@ def _default_tolerance():
 
 
 # ---------------------------------------------------------------------------
-# serialization helpers
+# output
+#
+# Output goes to sys.stdout (looked up at each write, so redirected
+# capture works) about _CHUNK entries at a time.  In each chunk every
+# distinct value is formatted once and indexed back into place, and the
+# text is joined from fixed templates over numpy object arrays.  The bytes
+# are those of json.dump(indent=2), csv.writer and one print per line.
 
-def _pair(z):
-    z = complex(z)
-    return [z.real, z.imag]
+_CHUNK = 1 << 16  # entries formatted and written at a time
+_LIST = "\x00"  # stands for a pre-rendered list in a JSON payload; argv strings hold no NUL
+_LIST_TOKEN = json.dumps(_LIST)
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _matrix_obj(m):
-    rows, cols = m.shape
-    return {
-        "rows": rows,
-        "cols": cols,
-        "entries": [_pair(z) for z in m.ravel()],
-    }
+def _objects(texts):
+    return np.array(list(texts), dtype=object)
+
+
+def _formatted(a, fmt):
+    """``fmt(z)`` of each distinct value of the complex array ``a``, as an
+    object array, and each entry's index into it (an array of a's shape).
+
+    Values are told apart by bit pattern, so ``-0.0`` keeps its sign.
+    """
+    bits = np.ascontiguousarray(a, dtype=np.complex128).view(np.uint64).reshape(-1, 2)
+    re, re_codes = np.unique(bits[:, 0], return_inverse=True)
+    im, im_codes = np.unique(bits[:, 1], return_inverse=True)
+    pairs, codes = np.unique(re_codes * len(im) + im_codes, return_inverse=True)
+    distinct = np.stack([re[pairs // len(im)], im[pairs % len(im)]], axis=-1).view(np.complex128)
+    return _objects(map(fmt, distinct.ravel().tolist())), codes.reshape(np.shape(a))
+
+
+def _texts(a, fmt):
+    """``fmt(z)`` of every entry of the complex array ``a``, as an object array of a's shape."""
+    texts, codes = _formatted(a, fmt)
+    return texts[codes]
+
+
+def _json_float(x):
+    text = repr(x)
+    return _JSON_NONFINITE.get(text, text)
+
+
+def _json_pair(depth):
+    """Formatter of a complex value as json.dump(indent=2) writes its ``[re, im]`` list at ``depth``."""
+    inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+    return lambda z: f"[{inner}{_json_float(z.real)},{inner}{_json_float(z.imag)}{outer}]"
+
+
+def _csv_field(text):
+    """``text`` as csv.writer quotes a field: only when it holds a delimiter, quote or line end."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_row(fields):
+    return ",".join(_csv_field(str(f)) for f in fields)
+
+
+def _csv_pair(z):
+    return f"{z.real!r},{z.imag!r}\r\n"
 
 
 def _fmt_real(x):
@@ -95,17 +143,195 @@ def _fmt_complex(z):
     return f"{_fmt_real(re)}{sign}{_fmt_real(abs(im))}i"
 
 
-def _print_matrix(m, indent="  "):
-    cells = [[_fmt_complex(z) for z in row] for row in m]
-    width = max(len(c) for row in cells for c in row)
-    for row in cells:
-        print(indent + "  ".join(c.rjust(width) for c in row))
+def _concat(*columns):
+    """Join text columns element by element, in row-major order.
+
+    Each column is a str or an object array of str; all broadcast to one
+    shape, and each element contributes its column texts in turn.
+    """
+    shape = np.broadcast_shapes(*(np.shape(c) for c in columns))
+    parts = np.empty(shape + (len(columns),), dtype=object)
+    for k, column in enumerate(columns):
+        parts[..., k] = column
+    return "".join(parts.ravel().tolist())
 
 
-def _dump_json(payload):
-    json.dump(payload, sys.stdout, indent=2)
-    print()
+def _chunks(count, per_record):
+    """(start, stop) ranges over ``count`` records of about _CHUNK entries each."""
+    step = max(1, _CHUNK // per_record)
+    return [(start, min(start + step, count)) for start in range(0, count, step)]
 
+
+def _write_records(count, per_record, columns, lead=""):
+    """Write ``count`` records, about _CHUNK entries per write.
+
+    ``columns(start, stop)`` gives the text columns (see :func:`_concat`)
+    of records start..stop-1, each holding ``per_record`` entries.  Given
+    records of one entry, ``lead`` leads every record but the first.
+    """
+    for start, stop in _chunks(count, per_record):
+        text = _concat(lead, *columns(start, stop))
+        sys.stdout.write(text[len(lead):] if start == 0 else text)
+
+
+def _write_json(payload, lists):
+    """Write ``json.dumps(payload, indent=2)`` and a newline.
+
+    Each ``_LIST`` value in ``payload`` stands, in document order, for one
+    of ``lists``: a ``(depth, count, columns)`` triple for a list of
+    ``count`` items at nesting ``depth`` whose text ``columns`` are as for
+    :func:`_write_records`.
+    """
+    out = sys.stdout
+    pieces = json.dumps(payload, indent=2).split(_LIST_TOKEN)
+    for piece, (depth, count, columns) in zip(pieces, lists):
+        out.write(piece)
+        if count == 0:
+            out.write("[]")
+            continue
+        lead = ",\n" + "  " * depth
+        out.write("[" + lead[1:])
+        _write_records(count, 1, columns, lead)
+        out.write(f"\n{'  ' * (depth - 1)}]")
+    out.write(pieces[-1] + "\n")
+
+
+def _json_entries(m, depth):
+    """The ``_write_json`` list of the entries of matrix ``m``, row-major, at ``depth``."""
+    flat = m.reshape(-1)
+    fmt = _json_pair(depth)
+    return depth, flat.size, lambda a, b: [_texts(flat[a:b], fmt)]
+
+
+def _write_pretty(m):
+    """Write matrix ``m`` a row per line, each cell after two spaces and
+    right-aligned to the widest cell of ``m``."""
+    rows, cols = m.shape
+    chunks = _chunks(rows, cols)
+    parts = [_formatted(m[a:b], _fmt_complex) for a, b in chunks]
+    width = max(len(text) for texts, _ in parts for text in texts)
+    ends = _objects([""] * (cols - 1) + ["\n"])
+    for texts, codes in parts:
+        cells = _objects("  " + text.rjust(width) for text in texts)
+        sys.stdout.write(_concat(cells[codes], ends))
+
+
+def _write_basis(fmt, b):
+    """Write the generators of the basis ``b`` in ``fmt`` (json, csv or pretty)."""
+    n = b.n
+    if fmt == "json":
+        generators = []
+        for ordinal, label in enumerate(b.labels, start=1):
+            record = {"ordinal": ordinal, "kind": label.kind}
+            if label.kind == DIAGONAL:
+                record["d"] = label.d
+            else:
+                record["i"] = label.i
+                record["j"] = label.j
+            record["matrix"] = {"rows": n, "cols": n, "entries": _LIST}
+            generators.append(record)
+        _write_json(
+            {"command": "basis", "n": n, "generators": generators},
+            [_json_entries(mat, 5) for mat in b.matrices],
+        )
+    elif fmt == "csv":
+        sys.stdout.write(_csv_row(["ordinal", "kind", "i", "j", "d", "row", "col", "re", "im"]) + "\r\n")
+        labels = []
+        for ordinal, label in enumerate(b.labels, start=1):
+            ijd = ("", "", label.d) if label.kind == DIAGONAL else (label.i, label.j, "")
+            labels.append(_csv_row([ordinal, label.kind, *ijd]) + ",")
+        labels = _objects(labels)
+        cells = _objects(f"{r},{c}," for r in range(1, n + 1) for c in range(1, n + 1))
+        mats = b.matrices.reshape(len(b), n * n)
+        _write_records(len(b), n * n, lambda a, z: [labels[a:z, None], cells, _texts(mats[a:z], _csv_pair)])
+    else:
+        for ordinal, (label, mat) in enumerate(b, start=1):
+            sys.stdout.write(f"[{ordinal}] {label}\n")
+            _write_pretty(mat)
+
+
+def _write_swap(fmt, u, method, methods_agree, dense):
+    """Write the swap ``u`` built by ``method`` in ``fmt``; ``methods_agree``
+    is None unless both methods ran, ``dense`` adds the whole matrix."""
+    p, q, size = u.p, u.q, u.size
+    # the 1 of row k + 1 sits in column cols[k] + 1: ``u.one_positions()`` as an array
+    cols = np.argsort(u.perm)
+    nums = _objects(map(str, range(1, size + 1)))
+    m = u.dense() if dense else None
+    out = sys.stdout
+    if fmt == "json":
+        first, second = "[\n      " + nums + ",\n      ", nums + "\n    ]"
+        payload = {"command": "swap", "p": p, "q": q, "method": method, "size": size, "positions": _LIST}
+        lists = [(2, size, lambda a, b: [first[a:b], second[cols[a:b]]])]
+        if methods_agree is not None:
+            payload["methods_agree"] = methods_agree
+        if dense:
+            payload["dense"] = {"rows": size, "cols": size, "entries": _LIST}
+            lists.append(_json_entries(m, 3))
+        _write_json(payload, lists)
+    elif fmt == "csv":
+        fields = nums + ","
+        if dense:
+            out.write(_csv_row(["row", "col", "re", "im"]) + "\r\n")
+            _write_records(size, size, lambda a, b: [fields[a:b, None], fields, _texts(m[a:b], _csv_pair)])
+        else:
+            out.write(_csv_row(["row", "col"]) + "\r\n")
+            ends = nums + "\r\n"
+            _write_records(size, 1, lambda a, b: [fields[a:b], ends[cols[a:b]]])
+    else:
+        out.write(f"swap {p} (x) {q}: {size} x {size} permutation matrix\nones at (row, col): ")
+        first, second = "(" + nums + ",", nums + ")"
+        _write_records(size, 1, lambda a, b: [first[a:b], second[cols[a:b]]], lead=", ")
+        out.write("\n")
+        if methods_agree is not None:
+            out.write("rule and formula constructions agree\n")
+        if dense:
+            _write_pretty(m)
+
+
+def _write_decompose(fmt, p, q, source, threshold, grid, left, right):
+    """Write the cells of the coefficient ``grid`` with modulus above
+    ``threshold`` in ``fmt``; ``left`` and ``right`` label its axes."""
+    rows, cols = np.nonzero(np.abs(grid) > threshold)
+    values = grid[rows, cols]
+    count = len(values)
+    if fmt == "json":
+        key = "\n      "
+        by_left = _objects(f'{{{key}"left_index": {a},{key}"right_index": ' for a in range(len(left)))
+        by_right = _objects(f'{b},{key}"left": ' for b in range(len(right)))
+        left_names = _objects(f'{json.dumps(name)},{key}"right": ' for name in left)
+        right_names = _objects(f'{json.dumps(name)},{key}"value": ' for name in right)
+        pair = _json_pair(3)
+        payload = {"command": "decompose", "p": p, "q": q, "source": source, "threshold": threshold,
+                   "left_labels": left, "right_labels": right, "entries": _LIST}
+        _write_json(payload, [(2, count, lambda a, b: [
+            by_left[rows[a:b]], by_right[cols[a:b]], left_names[rows[a:b]],
+            right_names[cols[a:b]], _texts(values[a:b], pair), "\n    }",
+        ])])
+    elif fmt == "csv":
+        sys.stdout.write(_csv_row(["left_index", "right_index", "left", "right", "re", "im"]) + "\r\n")
+        by_left = _objects(f"{a}," for a in range(len(left)))
+        by_right = _objects(f"{b}," for b in range(len(right)))
+        left_names = _objects(_csv_field(name) + "," for name in left)
+        right_names = _objects(_csv_field(name) + "," for name in right)
+        _write_records(count, 1, lambda a, b: [
+            by_left[rows[a:b]], by_right[cols[a:b]], left_names[rows[a:b]],
+            right_names[cols[a:b]], _texts(values[a:b], _csv_pair),
+        ])
+    else:
+        sys.stdout.write(
+            f"decomposition over {{I, ...}} (x) {{I, ...}} for p={p}, q={q} "
+            f"({count} of {p * p * q * q} coefficients above {threshold:g}):\n"
+        )
+        left_names = _objects(f"  {name} (x) " for name in left)
+        right_names = _objects(f"{name}: " for name in right)
+        _write_records(count, 1, lambda a, b: [
+            left_names[rows[a:b]], right_names[cols[a:b]], _texts(values[a:b], _fmt_complex), "\n",
+        ])
+
+
+# ---------------------------------------------------------------------------
+# input
 
 def _load_matrix_file(path):
     """Read ``{"rows": R, "cols": C, "entries": [[re, im], ...]}`` (row-major)."""
@@ -130,22 +356,34 @@ def _load_matrix_file(path):
         raise InputError(
             f"matrix file {path!r} must hold rows*cols = {rows * cols} entries"
         )
-    values = []
-    for entry in entries:
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 2
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
-        ):
-            raise InputError(f"matrix file {path!r}: entries must be [re, im] pairs")
-        try:
-            values.append(complex(entry[0], entry[1]))
-        except OverflowError:
-            raise InputError(f"matrix file {path!r}: an entry is too large for a float")
     try:
-        return as_matrix(np.array(values, dtype=np.complex128).reshape(rows, cols))
+        values = _pair_values(entries)
+    except TypeError:
+        raise InputError(f"matrix file {path!r}: entries must be [re, im] pairs")
+    except OverflowError:
+        raise InputError(f"matrix file {path!r}: an entry is too large for a float")
+    try:
+        return as_matrix(values.reshape(rows, cols))
     except ValueError as exc:
         raise InputError(f"matrix file {path!r}: {exc}")
+
+
+def _pair_values(entries):
+    """JSON ``[[re, im], ...]`` as complex128, checked in bulk.
+
+    Raises TypeError if an entry is no pair of ints and floats (a bool is
+    neither), OverflowError if a number is too large for a float; when
+    both occur, the error of the first bad entry.
+    """
+    if set(map(type, entries)) == {list} and set(map(len, entries)) == {2}:
+        flat = list(chain.from_iterable(entries))
+        if set(map(type, flat)) <= {int, float}:
+            return np.array(flat, dtype=np.float64).view(np.complex128)
+    for entry in entries:
+        if type(entry) is not list or len(entry) != 2 or not set(map(type, entry)) <= {int, float}:
+            break
+        complex(*entry)
+    raise TypeError("entries must be [re, im] pairs")
 
 
 # ---------------------------------------------------------------------------
@@ -154,37 +392,7 @@ def _load_matrix_file(path):
 def cmd_basis(args):
     if args.n < 2:
         return _fail("--n must be at least 2")
-    b = basis(args.n)
-    if args.format == "json":
-        generators = []
-        for ordinal, (label, mat) in enumerate(b, start=1):
-            record = {"ordinal": ordinal, "kind": label.kind}
-            if label.kind == DIAGONAL:
-                record["d"] = label.d
-            else:
-                record["i"] = label.i
-                record["j"] = label.j
-            record["matrix"] = _matrix_obj(mat)
-            generators.append(record)
-        _dump_json({"command": "basis", "n": args.n, "generators": generators})
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["ordinal", "kind", "i", "j", "d", "row", "col", "re", "im"])
-        for ordinal, (label, mat) in enumerate(b, start=1):
-            i = label.i if label.kind != DIAGONAL else ""
-            j = label.j if label.kind != DIAGONAL else ""
-            d = label.d if label.kind == DIAGONAL else ""
-            for r in range(args.n):
-                for c in range(args.n):
-                    z = mat[r, c]
-                    writer.writerow(
-                        [ordinal, label.kind, i, j, d, r + 1, c + 1,
-                         repr(float(z.real)), repr(float(z.imag))]
-                    )
-    else:
-        for ordinal, (label, mat) in enumerate(b, start=1):
-            print(f"[{ordinal}] {label}")
-            _print_matrix(mat)
+    _write_basis(args.format, basis(args.n))
     return EXIT_OK
 
 
@@ -209,39 +417,7 @@ def cmd_swap(args):
             file=sys.stderr,
         )
         return EXIT_INTERNAL
-    positions = u.one_positions()
-
-    if args.format == "json":
-        payload = {
-            "command": "swap",
-            "p": p,
-            "q": q,
-            "method": args.method,
-            "size": u.size,
-            "positions": [[r, c] for r, c in positions],
-        }
-        if methods_agree is not None:
-            payload["methods_agree"] = methods_agree
-        if args.dense:
-            payload["dense"] = _matrix_obj(u.dense())
-        _dump_json(payload)
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        if args.dense:
-            writer.writerow(["row", "col", "re", "im"])
-            for r, row in enumerate(u.dense(), start=1):
-                for c, z in enumerate(row, start=1):
-                    writer.writerow([r, c, repr(float(z.real)), repr(float(z.imag))])
-        else:
-            writer.writerow(["row", "col"])
-            writer.writerows(positions)
-    else:
-        print(f"swap {p} (x) {q}: {u.size} x {u.size} permutation matrix")
-        print("ones at (row, col):", ", ".join(f"({r},{c})" for r, c in positions))
-        if methods_agree is not None:
-            print("rule and formula constructions agree")
-        if args.dense:
-            _print_matrix(u.dense())
+    _write_swap(args.format, u, args.method, methods_agree, args.dense)
     return EXIT_OK
 
 
@@ -263,46 +439,8 @@ def cmd_decompose(args):
                 f"matrix file {args.input!r} is {m.shape[0]} x {m.shape[1]}, "
                 f"expected {p * q} x {p * q}"
             )
-    coeffs = decompose_product(m, p, q)
-    left = extended_labels(p)
-    right = extended_labels(q)
-    rows, cols = np.nonzero(np.abs(coeffs.grid) > args.threshold)
-    kept = [(a, b, coeffs.grid[a, b]) for a, b in zip(rows.tolist(), cols.tolist())]
-
-    if args.format == "json":
-        _dump_json(
-            {
-                "command": "decompose",
-                "p": p,
-                "q": q,
-                "source": args.input,
-                "threshold": args.threshold,
-                "left_labels": left,
-                "right_labels": right,
-                "entries": [
-                    {
-                        "left_index": a,
-                        "right_index": b,
-                        "left": left[a],
-                        "right": right[b],
-                        "value": _pair(z),
-                    }
-                    for a, b, z in kept
-                ],
-            }
-        )
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["left_index", "right_index", "left", "right", "re", "im"])
-        for a, b, z in kept:
-            writer.writerow([a, b, left[a], right[b], repr(float(z.real)), repr(float(z.imag))])
-    else:
-        print(
-            f"decomposition over {{I, ...}} (x) {{I, ...}} for p={p}, q={q} "
-            f"({len(kept)} of {p * p * q * q} coefficients above {args.threshold:g}):"
-        )
-        for a, b, z in kept:
-            print(f"  {left[a]} (x) {right[b]}: {_fmt_complex(z)}")
+    grid = decompose_product(m, p, q).grid
+    _write_decompose(args.format, p, q, args.input, args.threshold, grid, extended_labels(p), extended_labels(q))
     return EXIT_OK
 
 

@@ -53,12 +53,13 @@ class GeneratorLabel:
         return f"{'S' if self.kind == SYMMETRIC else 'A'}({self.i},{self.j})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GellMannBasis:
     """Ordered basis for dimension ``n``: n^2 - 1 (label, matrix) pairs.
 
     ``stack`` is one shared, read-only (n^2, n, n) array holding
-    ``identity(n)`` and then ``matrices``; copy before modifying.
+    ``identity(n)`` and then ``matrices``; copy before modifying.  Bases
+    compare and hash by identity, as an array field has no usable ``==``.
     """
 
     n: int

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import importlib.util
 import io
 import json
@@ -34,12 +35,14 @@ GOLDEN_CASES = [
     ("basis-2-json", ["basis", "--n", "2", "--format", "json"], 0),
     ("basis-3-csv", ["basis", "--n", "3", "--format", "csv"], 0),
     ("basis-3-pretty", ["basis", "--n", "3"], 0),
+    ("basis-4-pretty", ["basis", "--n", "4"], 0),
     ("swap-3x2-json", ["swap", "--p", "3", "--q", "2", "--format", "json"], 0),
     ("swap-3x2-csv", ["swap", "--p", "3", "--q", "2", "--format", "csv"], 0),
     ("swap-3x2-pretty-both", ["swap", "--p", "3", "--q", "2", "--method", "both"], 0),
     ("swap-2x3-json-dense-both",
      ["swap", "--p", "2", "--q", "3", "--format", "json", "--dense", "--method", "both"], 0),
     ("swap-2x2-csv-dense", ["swap", "--p", "2", "--q", "2", "--format", "csv", "--dense"], 0),
+    ("swap-4x3-csv-dense", ["swap", "--p", "4", "--q", "3", "--format", "csv", "--dense"], 0),
     ("swap-3x3-pretty-dense-rule", ["swap", "--p", "3", "--q", "3", "--method", "rule", "--dense"], 0),
     ("swap-1x4-json", ["swap", "--p", "1", "--q", "4", "--format", "json"], 0),
     ("swap-1x4-csv-both", ["swap", "--p", "1", "--q", "4", "--format", "csv", "--method", "both"], 0),
@@ -51,6 +54,10 @@ GOLDEN_CASES = [
     ("decompose-swap-2x2-csv", ["decompose", "--p", "2", "--q", "2", "--input", "swap", "--format", "csv"], 0),
     ("decompose-swap-1x4-json", ["decompose", "--p", "1", "--q", "4", "--input", "swap", "--format", "json"], 0),
     ("decompose-swap-1x4-csv", ["decompose", "--p", "1", "--q", "4", "--input", "swap", "--format", "csv"], 0),
+    ("decompose-swap-2x2-threshold1",
+     ["decompose", "--p", "2", "--q", "2", "--input", "swap", "--threshold", "1"], 0),
+    ("decompose-swap-2x2-threshold1-json",
+     ["decompose", "--p", "2", "--q", "2", "--input", "swap", "--threshold", "1", "--format", "json"], 0),
     ("swap-p0", ["swap", "--p", "0", "--q", "3"], 2),
 ]
 
@@ -236,6 +243,24 @@ class TestDecomposeCommand:
         assert result.stdout == ""
         assert len(result.stderr.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "last,fault",
+        [
+            ("[1, true]", "entries must be [re, im] pairs"),
+            ("[1, 0, 0]", "entries must be [re, im] pairs"),
+            ("[1%s, 0]" % ("0" * 400), "an entry is too large for a float"),
+        ],
+        ids=["bool", "three-numbers", "int-overflow"],
+    )
+    def test_large_file_with_only_its_last_entry_bad_exits_2(self, tmp_path, last, fault):
+        path = tmp_path / "bad.json"
+        entries = ", ".join(["[0.5, -0.25]"] * (64 * 64 - 1) + [last])
+        path.write_text('{"rows": 64, "cols": 64, "entries": [%s]}' % entries, encoding="utf-8")
+        result = run_cli("decompose", "--p", "8", "--q", "8", "--input", str(path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == f"tcm: error: matrix file {str(path)!r}: {fault}\n"
+
     def test_missing_file_exits_2(self):
         result = run_cli("decompose", "--p", "3", "--q", "2", "--input", "/nonexistent.json")
         assert result.returncode == 2
@@ -354,6 +379,23 @@ def test_golden_output(name, args, code):
     assert result.returncode == code
     assert result.stdout == (GOLDEN_DIR / f"{name}.stdout").read_bytes()
     assert result.stderr == (GOLDEN_DIR / f"{name}.stderr").read_bytes()
+
+
+# sha256 of stdout, one "<digest>  <arguments>" line per command, for the
+# desk-scale commands of the benchmark's `cli` workload that read no input
+# file; `verify` is left out, its error columns depend on summation order.
+# Regenerate a line with `python -m tcm ARGS | sha256sum`.
+WORKLOAD_DIGESTS = [
+    line.split("  ", 1) for line in (GOLDEN_DIR / "workload.sha256").read_text(encoding="utf-8").splitlines()
+]
+
+
+@pytest.mark.parametrize("digest,args", WORKLOAD_DIGESTS, ids=[args for _, args in WORKLOAD_DIGESTS])
+def test_workload_output_digest(digest, args, capsys):
+    assert cli.main(args.split()) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 class TestUsage:

@@ -1,0 +1,106 @@
+"""The CLI's output layer writes the same bytes as the per-entry serializers
+in ``emit_reference``, at random shapes, values, labels and chunk sizes."""
+
+import contextlib
+import io
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import emit_reference as ref
+from tcm import cli
+from tcm.gellmann import GellMannBasis, basis
+from tcm.swap import swap_by_formula, swap_by_rule
+
+FORMATS = st.sampled_from(["json", "csv", "pretty"])
+# 0.1 + 0.2 prints 17 digits, 1e16 and 1e-7 switch repr to exponents,
+# 5e-324 is subnormal, and -0.0 is the one value whose ".10g" form is "-0"
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e16, -1e16, 1e-7, 0.1 + 0.2, 1.0, -2.0, 3.0, 2.0 ** 53,
+           float("inf"), float("-inf"), float("nan")]
+FLOATS = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=True, allow_infinity=True))
+COMPLEXES = st.builds(complex, FLOATS, FLOATS)
+# labels with csv delimiters, quotes and line ends, and a non-ASCII letter for JSON escapes
+LABELS = st.text(alphabet='SAD(),12 "\n\ré', max_size=6)
+CHUNKS = st.sampled_from([1, 2, 3, 5, 1 << 16])
+
+
+def written(write, *args):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        write(*args)
+    return out.getvalue()
+
+
+def assert_same_output(chunk, new, old, *args):
+    with mock.patch.object(cli, "_CHUNK", chunk):
+        got = written(new, *args)
+    assert got == written(old, *args)
+
+
+def complex_array(draw, shape):
+    values = draw(st.lists(COMPLEXES, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+    return np.array(values, dtype=np.complex128).reshape(shape)
+
+
+@st.composite
+def bases(draw):
+    n = draw(st.integers(2, 3))
+    return GellMannBasis(n=n, labels=basis(n).labels, stack=complex_array(draw, (n * n, n, n)))
+
+
+@st.composite
+def decompositions(draw):
+    p, q = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    grid = complex_array(draw, (p * p, q * q))
+    left = draw(st.lists(LABELS, min_size=p * p, max_size=p * p))
+    right = draw(st.lists(LABELS, min_size=q * q, max_size=q * q))
+    source = draw(st.text(alphabet='ab/.,"\\é ', max_size=8))
+    threshold = draw(st.sampled_from([0.0, 1e-12, 0.5, 1e300]))
+    return p, q, source, threshold, grid, left, right
+
+
+@settings(max_examples=150, deadline=None)
+@given(fmt=FORMATS, b=bases(), chunk=CHUNKS)
+def test_basis_matches_reference(fmt, b, chunk):
+    assert_same_output(chunk, cli._write_basis, ref.write_basis, fmt, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fmt=FORMATS, p=st.integers(1, 5), q=st.integers(1, 5), rule=st.booleans(),
+       method=st.sampled_from(["formula", "rule", "both"]), dense=st.booleans(), chunk=CHUNKS)
+def test_swap_matches_reference(fmt, p, q, rule, method, dense, chunk):
+    u = swap_by_rule(p, q) if rule else swap_by_formula(p, q)
+    agree = True if method == "both" else None
+    assert_same_output(chunk, cli._write_swap, ref.write_swap, fmt, u, method, agree, dense)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fmt=FORMATS, case=decompositions(), chunk=CHUNKS)
+def test_decompose_matches_reference(fmt, case, chunk):
+    assert_same_output(chunk, cli._write_decompose, ref.write_decompose, fmt, *case)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+def test_decompose_with_nothing_kept_matches_reference(fmt):
+    case = (2, 2, "swap", 1.0, np.full((4, 4), 0.5 + 0j), ["I", "S(1,2)", "A(1,2)", "D(1)"], ["I", "x", "y", "z"])
+    got = written(cli._write_decompose, fmt, *case)
+    assert got == written(ref.write_decompose, fmt, *case)
+    if fmt == "json":
+        assert '  "entries": []\n}\n' in got
+
+
+@pytest.mark.parametrize("size", [1, 7, 20000])
+def test_formatted_indexes_every_entry_by_bit_pattern(size):
+    # at size 20000 most values are distinct; at 1 and 7 the signed zeros dominate
+    rng = np.random.default_rng(size)
+    a = rng.standard_normal((size, 2)).view(np.complex128)
+    a[::3] = -0.0
+    a[1::4] = complex(0.0, -0.0)
+    distinct, codes = cli._formatted(a, complex)
+    back = np.array(distinct.tolist(), dtype=np.complex128)[codes]
+    assert back.shape == a.shape
+    np.testing.assert_array_equal(back.view(np.uint64), a.view(np.uint64))
+    assert len(distinct) == len({z.tobytes() for z in a.ravel()})

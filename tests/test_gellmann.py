@@ -124,6 +124,17 @@ class TestBasis:
         with pytest.raises(ValueError):
             m[0, 0] = 5
 
+    def test_bases_hash_and_compare_by_identity_across_a_cache_clear(self):
+        # a generated __eq__/__hash__ would compare the ndarray field and raise
+        before = basis(2)
+        assert before == basis(2)
+        assert hash(before) == hash(basis(2))
+        basis.cache_clear()
+        after = basis(2)
+        assert after is not before
+        assert after != before
+        assert len({before, after}) == 2
+
 
 class TestStack:
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
