@@ -254,8 +254,8 @@ def _write_swap(fmt, u, method, methods_agree, dense):
     """Write the swap ``u`` built by ``method`` in ``fmt``; ``methods_agree``
     is None unless both methods ran, ``dense`` adds the whole matrix."""
     p, q, size = u.p, u.q, u.size
-    # the 1 of row k + 1 sits in column cols[k] + 1: ``u.one_positions()`` as an array
-    cols = np.argsort(u.perm)
+    # the 1 of row k + 1 sits in column cols[k] + 1
+    cols = u.one_positions()[:, 1] - 1
     nums = _objects(map(str, range(1, size + 1)))
     m = u.dense() if dense else None
     out = sys.stdout

@@ -3,9 +3,10 @@
 ``swap(p, q)`` is the pq x pq permutation matrix U satisfying
 ``U @ kron(a, b) == kron(b, a)`` for every p-vector ``a`` and q-vector
 ``b``.  Two independent constructions are provided: a delta formula
-(`swap_by_formula`, the implementation of record) and a literal
-column-by-column walk (`swap_by_rule`, a cross-check).  Both store the
-permutation as an index map; the dense 0/1 matrix is rendered on demand.
+(`swap_by_formula`, the implementation of record) and a constructive
+column walk (`swap_by_rule`, a cross-check) that places one group of q
+ones at a time.  Both store the permutation as an index map; the dense
+0/1 matrix and the (row, col) positions of its ones are rendered on demand.
 
 Index layout matches :mod:`tcm.matops`: the column of the single 1 for
 input slot ``(j1, j2)`` is ``j1*q + j2`` (``j1 < p`` outer, ``j2 < q``
@@ -35,9 +36,13 @@ class SwapMatrix:
     perm: np.ndarray
 
     def __post_init__(self):
+        _check_dims(self.p, self.q)
         total = self.p * self.q
-        perm = np.asarray(self.perm, dtype=np.int64)
-        if perm.shape != (total,) or not np.array_equal(np.sort(perm), np.arange(total)):
+        perm = np.asarray(self.perm)
+        if perm.dtype.kind not in "iu":
+            raise ValueError(f"perm must hold integers, got dtype {perm.dtype}")
+        perm = np.asarray(perm, dtype=np.int64)
+        if not _is_permutation(perm, total):
             raise ValueError(f"perm must be a permutation of 0..{total - 1}")
         perm.setflags(write=False)
         object.__setattr__(self, "perm", perm)
@@ -67,9 +72,26 @@ class SwapMatrix:
         return m
 
     def one_positions(self):
-        """1-based (row, col) pairs of the ones, sorted by row."""
-        cols = np.argsort(self.perm)
-        return list(zip((self.perm[cols] + 1).tolist(), (cols + 1).tolist()))
+        """1-based (row, col) pairs of the ones, sorted by row.
+
+        A fresh (pq, 2) int64 array: the row column is ``1..pq`` and the
+        column column is the inverse permutation, filled by one scatter.
+        """
+        total = self.size
+        out = np.empty((total, 2), dtype=np.int64)
+        one_based = np.arange(1, total + 1)
+        out[:, 0] = one_based
+        out[self.perm, 1] = one_based
+        return out
+
+
+def _is_permutation(perm, total):
+    """O(pq): ``total`` in-range indices that hit every slot hit each once."""
+    if perm.shape != (total,) or perm.min() < 0 or perm.max() >= total:
+        return False
+    seen = np.zeros(total, dtype=bool)
+    seen[perm] = True
+    return bool(seen.all())
 
 
 def _check_dims(p, q):
@@ -86,9 +108,8 @@ def swap_by_formula(p, q):
     identity permutation (the degenerate swap of a scalar factor).
     """
     _check_dims(p, q)
-    j1 = np.repeat(np.arange(p), q)
-    j2 = np.tile(np.arange(q), p)
-    return SwapMatrix(p=p, q=q, perm=j2 * p + j1)
+    j1, j2 = np.ogrid[:p, :q]
+    return SwapMatrix(p=p, q=q, perm=(j2 * p + j1).ravel())
 
 
 def swap_by_rule(p, q):
@@ -97,7 +118,9 @@ def swap_by_rule(p, q):
     Start with a 1 at row 1, column 1; in each following column descend p
     rows and place a 1.  Whenever fewer than p rows remain (after the k-th
     group of q ones), restart the descent at row k+1 in the next column.
-    The walk ends with a 1 at (pq, pq); a broken checkpoint raises
+    The walk places one such group at a time: group k is the descent
+    ``k, k+p, k+2p, ...`` down to the last row, written into the next
+    columns.  It ends with a 1 at (pq, pq); a broken checkpoint raises
     :class:`WalkCheckpointError`.  Kept free of any call into
     :func:`swap_by_formula` so the two constructions stay independent
     cross-checks of each other.
@@ -105,21 +128,18 @@ def swap_by_rule(p, q):
     _check_dims(p, q)
     total = p * q
     rows = np.empty(total, dtype=np.int64)
-    row = 1
-    group = 1
-    for col in range(1, total + 1):
-        rows[col - 1] = row
-        if row + p <= total:
-            row += p
-        else:
-            # Walk checkpoints: each group holds exactly q ones, and group
-            # k+1 starts in the next column at row k+1.
-            if col != group * q:
-                raise WalkCheckpointError(
-                    f"group {group} ended at column {col}, expected {group * q}"
-                )
-            group += 1
-            row = group
+    col = 0
+    for group in range(1, p + 1):
+        descent = np.arange(group, total + 1, p)
+        end = col + descent.size
+        # Walk checkpoint: each group holds exactly q ones, so group k
+        # ends at column k*q and group k+1 starts in the next column.
+        if end != group * q:
+            raise WalkCheckpointError(
+                f"group {group} ended at column {end}, expected {group * q}"
+            )
+        rows[col:end] = descent
+        col = end
     if rows[-1] != total:
         raise WalkCheckpointError("walk must end with a 1 at (pq, pq)")
     return SwapMatrix(p=p, q=q, perm=rows - 1)

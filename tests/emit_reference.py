@@ -95,7 +95,7 @@ def write_basis(fmt, b):
 
 def write_swap(fmt, u, method, methods_agree, dense):
     p, q = u.p, u.q
-    positions = u.one_positions()
+    positions = u.one_positions().tolist()
     if fmt == "json":
         payload = {
             "command": "swap",

@@ -8,14 +8,16 @@ closed-form check add up their Kronecker squares through one realigned
 product.  The loops here evaluate the same quantities one basis element
 at a time, straight from the definitions: one Hilbert-Schmidt inner
 product per cell, one Kronecker product per term.  ``one_positions``
-sorts the (row, col) pairs of a swap as Python tuples, and ``elementary``
-places a single 1 by its 1-based indices.
+sorts the (row, col) pairs of a swap as Python tuples, ``swap_by_rule_walk``
+walks the swap one column at a time, and ``elementary`` places a single 1
+by its 1-based indices.
 """
 
 import numpy as np
 
 from tcm.gellmann import antisymmetric_generator, basis, diagonal_generator, symmetric_generator
 from tcm.matops import hs_inner, identity
+from tcm.swap import SwapMatrix, WalkCheckpointError, _check_dims
 
 
 def elementary(n, i, j):
@@ -122,3 +124,33 @@ def closed_form_lhs(n):
 def one_positions(u):
     """1-based (row, col) pairs of the ones of a swap, sorted by row."""
     return sorted((int(u.perm[col]) + 1, col + 1) for col in range(u.size))
+
+
+def swap_by_rule_walk(p, q):
+    """The swap by the column walk, one column per step.
+
+    Start with a 1 at row 1, column 1; in each following column descend p
+    rows and place a 1.  Whenever fewer than p rows remain (after the k-th
+    group of q ones), restart the descent at row k+1 in the next column.
+    """
+    _check_dims(p, q)
+    total = p * q
+    rows = np.empty(total, dtype=np.int64)
+    row = 1
+    group = 1
+    for col in range(1, total + 1):
+        rows[col - 1] = row
+        if row + p <= total:
+            row += p
+        else:
+            # Walk checkpoints: each group holds exactly q ones, and group
+            # k+1 starts in the next column at row k+1.
+            if col != group * q:
+                raise WalkCheckpointError(
+                    f"group {group} ended at column {col}, expected {group * q}"
+                )
+            group += 1
+            row = group
+    if rows[-1] != total:
+        raise WalkCheckpointError("walk must end with a 1 at (pq, pq)")
+    return SwapMatrix(p=p, q=q, perm=rows - 1)

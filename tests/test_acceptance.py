@@ -122,12 +122,13 @@ def test_c04_rectangular_six_term_identities():
     err23 = max_abs_diff(swap_23_expression(), swap_by_formula(2, 3).dense())
     positions = swap_by_formula(3, 2).one_positions()
     expected = [(1, 1), (2, 3), (3, 5), (4, 2), (5, 4), (6, 6)]
-    ok = err32 <= tol and err23 <= tol and positions == expected
+    match = np.array_equal(positions, expected)
+    ok = err32 <= tol and err23 <= tol and match
     report(
         4,
         "six-term 3x2/2x3 expressions",
         ok,
-        f"errors {err32:.3e}, {err23:.3e} <= {tol:g}; positions {'match' if positions == expected else 'differ'}",
+        f"errors {err32:.3e}, {err23:.3e} <= {tol:g}; positions {'match' if match else 'differ'}",
     )
 
 

@@ -18,6 +18,9 @@ U22 = np.array(
     dtype=complex,
 )
 
+# 1-based (row, col) of the ones of the 3 (x) 2 swap, sorted by row.
+POSITIONS_32 = [(1, 1), (2, 3), (3, 5), (4, 2), (5, 4), (6, 6)]
+
 
 def random_vector(rng, n):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -39,9 +42,7 @@ class TestFormula:
         np.testing.assert_array_equal(swap_by_formula(2, 2).dense(), U22)
 
     def test_3x2_positions(self):
-        assert swap_by_formula(3, 2).one_positions() == [
-            (1, 1), (2, 3), (3, 5), (4, 2), (5, 4), (6, 6),
-        ]
+        assert np.array_equal(swap_by_formula(3, 2).one_positions(), POSITIONS_32)
 
     @pytest.mark.parametrize("p,q", [(1, 4), (4, 1), (1, 1)])
     def test_degenerate_factor_is_identity(self, p, q):
@@ -59,9 +60,7 @@ class TestRule:
         np.testing.assert_array_equal(swap_by_rule(2, 2).dense(), U22)
 
     def test_3x2_positions(self):
-        assert swap_by_rule(3, 2).one_positions() == [
-            (1, 1), (2, 3), (3, 5), (4, 2), (5, 4), (6, 6),
-        ]
+        assert np.array_equal(swap_by_rule(3, 2).one_positions(), POSITIONS_32)
 
     def test_agrees_with_formula_exhaustively(self):
         for p in range(2, 9):
@@ -74,17 +73,37 @@ class TestRule:
     def test_degenerate_factor_is_identity(self, p, q):
         np.testing.assert_array_equal(swap_by_rule(p, q).dense(), identity(p * q))
 
+    @settings(max_examples=120, deadline=None)
+    @given(p=st.integers(1, 40), q=st.integers(1, 40))
+    def test_group_walk_matches_column_walk_and_formula(self, p, q):
+        rule = swap_by_rule(p, q).perm
+        assert np.array_equal(rule, loop_reference.swap_by_rule_walk(p, q).perm)
+        assert np.array_equal(rule, swap_by_formula(p, q).perm)
+
 
 class TestOnePositions:
     @settings(max_examples=80, deadline=None)
     @given(p=st.integers(1, 40), q=st.integers(1, 40))
     def test_matches_sorted_tuples(self, p, q):
         u = swap_by_formula(p, q)
-        assert u.one_positions() == loop_reference.one_positions(u)
+        got = u.one_positions()
+        expected = loop_reference.one_positions(u)
+        assert len(got) == len(expected)
+        for row, pair in zip(got.tolist(), expected):
+            assert tuple(row) == pair
 
-    def test_plain_int_tuples(self):
+    def test_int64_array_of_pairs(self):
         positions = swap_by_formula(3, 2).one_positions()
-        assert all(type(r) is int and type(c) is int for r, c in positions)
+        assert isinstance(positions, np.ndarray)
+        assert positions.dtype == np.int64
+        assert positions.shape == (6, 2)
+        assert np.array_equal(positions, POSITIONS_32)
+
+    def test_fresh_array_each_call(self):
+        u = swap_by_formula(3, 2)
+        first = u.one_positions()
+        first[:] = 0
+        assert np.array_equal(u.one_positions(), POSITIONS_32)
 
 
 class TestApply:
@@ -172,6 +191,23 @@ class TestSwapMatrixType:
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             SwapMatrix(p=2, q=2, perm=np.arange(3))
+
+    @pytest.mark.parametrize("perm", [[0, 1, 2, 4], [-1, 0, 1, 2]])
+    def test_rejects_out_of_range_index(self, perm):
+        with pytest.raises(ValueError, match="permutation"):
+            SwapMatrix(p=2, q=2, perm=perm)
+
+    def test_rejects_negative_dimensions(self):
+        # the product of -1 and -2 is the length of a valid permutation
+        with pytest.raises(ValueError, match="positive") as info:
+            SwapMatrix(p=-1, q=-2, perm=[0, 1])
+        assert "\n" not in str(info.value)
+
+    def test_rejects_non_integer_perm(self):
+        # 1.9 must not be truncated to 1
+        with pytest.raises(ValueError, match="integers") as info:
+            SwapMatrix(p=1, q=2, perm=[0.0, 1.9])
+        assert "\n" not in str(info.value)
 
     def test_perm_read_only(self):
         u = swap_by_formula(2, 2)
