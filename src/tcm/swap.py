@@ -41,7 +41,7 @@ class SwapMatrix:
         perm = np.asarray(self.perm)
         if perm.dtype.kind not in "iu":
             raise ValueError(f"perm must hold integers, got dtype {perm.dtype}")
-        perm = np.asarray(perm, dtype=np.int64)
+        perm = np.array(perm, dtype=np.int64)  # owned: the caller's array stays theirs
         if not _is_permutation(perm, total):
             raise ValueError(f"perm must be a permutation of 0..{total - 1}")
         perm.setflags(write=False)

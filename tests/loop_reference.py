@@ -4,10 +4,12 @@ matrix-product forms.
 ``decompose_product``/``reconstruct_product`` and
 ``expand_in_basis``/``reconstruct`` compute every coefficient at once from
 stacks of vectorized basis matrices, and the family sums and the
-closed-form check add up their Kronecker squares through one realigned
-product.  The loops here evaluate the same quantities one basis element
+closed-form check scatter their Kronecker squares from each matrix's
+nonzeros.  The loops here evaluate the same quantities one basis element
 at a time, straight from the definitions: one Hilbert-Schmidt inner
-product per cell, one Kronecker product per term.  ``one_positions``
+product per cell, one Kronecker product per term.
+``sum_kron_squares_realigned`` keeps the dense realigned product that the
+scatter replaced, as a second oracle for it.  ``one_positions``
 sorts the (row, col) pairs of a swap as Python tuples, ``swap_by_rule_walk``
 walks the swap one column at a time, and ``elementary`` places a single 1
 by its 1-based indices.
@@ -113,12 +115,29 @@ def diagonal_family_reference(n):
     return out
 
 
+def sum_kron_squares(matrices, n):
+    """``sum_k kron(M_k, M_k)``, one Kronecker product per matrix."""
+    out = np.zeros((n * n, n * n), dtype=np.complex128)
+    for m in matrices:
+        out += np.kron(m, m)
+    return out
+
+
+def sum_kron_squares_realigned(matrices, n):
+    """``sum_k kron(M_k, M_k)`` as ``R^-1(V.T @ V)``.
+
+    ``R(kron(A, A)) = outer(vec(A), vec(A))`` under the realignment
+    ``R(m)[(i1, j1), (i2, j2)] = m[(i1, i2), (j1, j2)]``, so with V the
+    (k, n^2) stack of row-major ``vec(M_k)`` the sum is one dense product,
+    realigned back.
+    """
+    v = np.reshape(matrices, (len(matrices), n * n))
+    return (v.T @ v).reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+
+
 def closed_form_lhs(n):
     """``sum_k kron(G_k, G_k)`` over ``basis(n)``."""
-    out = np.zeros((n * n, n * n), dtype=np.complex128)
-    for g in basis(n).matrices:
-        out += np.kron(g, g)
-    return out
+    return sum_kron_squares(basis(n).matrices, n)
 
 
 def one_positions(u):

@@ -323,6 +323,23 @@ class TestVerifyCommand:
         assert result.returncode == 1
         assert "FAIL" in result.stdout
 
+    @pytest.mark.parametrize("family", ["offdiag_family_sum", "diagonal_family_sum"])
+    def test_nan_in_a_family_sum_fails_with_exit_1(self, family, monkeypatch, capsys):
+        real = getattr(cli, family)
+
+        def with_nan(n):
+            out = real(n)
+            out[0, -1] = np.nan
+            return out
+
+        monkeypatch.setattr(cli, family, with_nan)
+        assert cli.main(["verify", "--n-max", "3", "--tol", "1e-10"]) == 1
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert len(lines) == 2 and all(line.endswith(" FAIL") for line in lines)
+        assert "nan" in lines[0]
+        assert captured.err == "verify: FAILED at tol 1e-10\n"
+
     def test_env_tolerance_override(self):
         import os
 

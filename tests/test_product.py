@@ -17,7 +17,8 @@ from tcm.product import (
     swap_32_expression,
     verify_closed_form,
 )
-from tcm.swap import swap_by_formula
+from tcm import product, swap
+from tcm.swap import SwapMatrix, swap_by_formula
 
 RT3 = np.sqrt(3.0)
 
@@ -190,6 +191,29 @@ class TestClosedForm:
         report = verify_closed_form(n, abs_eps=1e-10)
         assert report.passed
         assert report.max_error <= 1e-12
+
+    def test_verify_fails_when_two_swap_columns_trade_ones(self, monkeypatch):
+        def two_columns_swapped(p, q):
+            perm = swap_by_formula(p, q).perm.copy()
+            perm[[0, 1]] = perm[[1, 0]]
+            return SwapMatrix(p=p, q=q, perm=perm)
+
+        monkeypatch.setattr(swap, "swap_by_formula", two_columns_swapped)
+        report = verify_closed_form(3)
+        assert not report.passed
+        assert report.max_error >= 1
+
+    def test_verify_fails_on_a_nan(self, monkeypatch):
+        real = product._sum_kron_squares
+
+        def with_nan(matrices, n):
+            out = real(matrices, n)
+            out[1, 2] = np.nan
+            return out
+
+        monkeypatch.setattr(product, "_sum_kron_squares", with_nan)
+        report = verify_closed_form(3)
+        assert not report.passed
 
     def test_reconstruct_equals_swap(self):
         for n in range(2, 13):

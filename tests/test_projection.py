@@ -83,6 +83,33 @@ def test_identity_sums_match_kron_loops(n):
     assert max_abs_diff(lhs, loops.closed_form_lhs(n)) <= 1e-12
 
 
+def random_sparse_stack(seed, densities, n):
+    """Generic complex (k, n, n) stack; matrix k keeps about ``densities[k]`` of its entries."""
+    rng = np.random.default_rng(seed)
+    shape = (len(densities), n, n)
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    keep = rng.random(shape) < np.reshape(densities, (-1, 1, 1))
+    return np.where(keep, values, 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=dims,
+    densities=st.lists(st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]), max_size=6),
+    seed=seeds,
+)
+@example(n=1, densities=[], seed=0)
+@example(n=4, densities=[0.0, 1.0, 0.3], seed=1)
+@example(n=6, densities=[1.0] * 6, seed=2)
+def test_sum_kron_squares_matches_realigned_product_and_kron_loop(n, densities, seed):
+    # density 0 is an all-zero matrix and density 1 a fully dense one
+    matrices = random_sparse_stack(seed, densities, n)
+    got = product._sum_kron_squares(matrices, n)
+    assert got.shape == (n * n, n * n)
+    assert np.max(np.abs(got - loops.sum_kron_squares_realigned(matrices, n))) <= 1e-12
+    assert np.max(np.abs(got - loops.sum_kron_squares(matrices, n))) <= 1e-12
+
+
 def test_closed_form_beyond_loop_reach():
     report = product.verify_closed_form(32)
     assert report.passed

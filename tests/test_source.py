@@ -21,6 +21,27 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def _product_function(name):
+    tree = ast.parse((SOURCE_DIR / "product.py").read_text(encoding="utf-8"))
+    return next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_identity_sums_use_no_matrix_product():
+    for name in ("_sum_kron_squares", "verify_closed_form"):
+        nodes = list(ast.walk(_product_function(name)))
+        assert not any(isinstance(getattr(node, "op", None), ast.MatMult) for node in nodes), name
+        names = {getattr(node, "attr", getattr(node, "id", None)) for node in nodes}
+        assert names.isdisjoint({"dot", "matmul", "einsum"}), name
+
+
+def test_sum_kron_squares_reads_only_its_arguments():
+    # no labels, swap or generator formulas: the sums stay independent of the references
+    func = _product_function("_sum_kron_squares")
+    names = [node for node in ast.walk(func) if isinstance(node, ast.Name)]
+    local = {arg.arg for arg in func.args.args} | {node.id for node in names if isinstance(node.ctx, ast.Store)}
+    assert {node.id for node in names} - local <= {"np", "len"}
+
+
 def test_every_traced_name_exists():
     # the benchmark's tracer refuses to install when a name it wraps is gone
     spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")

@@ -214,6 +214,21 @@ class TestSwapMatrixType:
         with pytest.raises(ValueError):
             u.perm[0] = 3
 
+    def test_perm_is_an_owned_copy(self):
+        # writing through a view of the caller's array must not reach the swap
+        b = np.arange(2)
+        v = b[:]
+        u = SwapMatrix(1, 2, b)
+        v[:] = 1
+        assert u.perm.tolist() == [0, 1]
+
+    def test_callers_array_stays_writable(self):
+        b = np.arange(2)
+        SwapMatrix(1, 2, b)
+        assert b.flags.writeable
+        b[0] = 1
+        assert b.tolist() == [1, 1]
+
     def test_kron_consistency_with_dense(self):
         # dense @ kron(a, b) must equal apply(kron(a, b))
         rng = np.random.default_rng(402)
