@@ -11,6 +11,7 @@ from .gellmann import (
     BasisCoefficients,
     GellMannBasis,
     GeneratorLabel,
+    Triplets,
     antisymmetric_generator,
     basis,
     diagonal_generator,
@@ -27,6 +28,7 @@ from .product import (
     diagonal_family_reference,
     diagonal_family_sum,
     extended_labels,
+    identity_errors,
     offdiag_family_reference,
     offdiag_family_sum,
     reconstruct_product,
@@ -45,6 +47,7 @@ __all__ = [
     "GeneratorLabel",
     "ProductCoefficients",
     "SwapMatrix",
+    "Triplets",
     "antisymmetric_generator",
     "basis",
     "closed_form_swap_coefficients",
@@ -56,6 +59,7 @@ __all__ = [
     "extended_labels",
     "hs_inner",
     "identity",
+    "identity_errors",
     "max_abs_diff",
     "offdiag_family_reference",
     "offdiag_family_sum",

@@ -19,23 +19,15 @@ import numpy as np
 from .matops import DEFAULT_ABS_EPS, as_matrix
 from .gellmann import DIAGONAL, basis
 from .swap import WalkCheckpointError, swap_by_formula, swap_by_rule
-from .product import (
-    decompose_product,
-    diagonal_family_reference,
-    diagonal_family_sum,
-    extended_labels,
-    offdiag_family_reference,
-    offdiag_family_sum,
-    verify_closed_form,
-)
+from .product import decompose_product, extended_labels, identity_errors
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
-# verify's largest accumulator holds n_max^4 entries; 64^4 = 2^24 of them
-# are 256 MB of complex128.
+# the largest n the checks are run at in CI; re-derive it from their O(n^3)
+# cost before raising it
 _MAX_VERIFY_N = 64
 _clear_basis_cache = basis.cache_clear  # bound at import; perfbench's tracer later wraps `basis`
 
@@ -444,19 +436,13 @@ def cmd_decompose(args):
     return EXIT_OK
 
 
-def _max_residual(total, reference):
-    """``max|total - reference|``, subtracting in place; a NaN propagates."""
-    total -= reference
-    return float(np.max(np.abs(total)))
-
-
 def cmd_verify(args):
     if args.n_max < 2:
         return _fail("--n-max must be at least 2")
     if args.n_max > _MAX_VERIFY_N:
         return _fail(
             f"--n-max must be at most {_MAX_VERIFY_N} "
-            f"(each check builds n^4-entry matrices)"
+            f"(the largest size the checks are tested at)"
         )
     try:
         tol = args.tol if args.tol is not None else _default_tolerance()
@@ -466,13 +452,11 @@ def cmd_verify(args):
         return _fail("--tol must be finite and non-negative")
     all_ok = True
     for n in range(2, args.n_max + 1):
-        report = verify_closed_form(n, abs_eps=tol)
-        off_err = _max_residual(offdiag_family_sum(n), offdiag_family_reference(n))
-        diag_err = _max_residual(diagonal_family_sum(n), diagonal_family_reference(n))
-        ok = report.passed and off_err <= tol and diag_err <= tol
+        closed_err, off_err, diag_err = identity_errors(n)
+        ok = closed_err <= tol and off_err <= tol and diag_err <= tol
         all_ok = all_ok and ok
         print(
-            f"n={n:2d}  closed-form {report.max_error:.3e}  "
+            f"n={n:2d}  closed-form {closed_err:.3e}  "
             f"pair families {off_err:.3e}  diagonal family {diag_err:.3e}  "
             f"{'ok' if ok else 'FAIL'}"
         )

@@ -14,10 +14,16 @@ identity, span all n x n matrices.  The canonical order groups the pairs
 by their larger index j and appends ``D(j-1)`` after each group; this
 reproduces the Pauli matrices at n=2 and the classical Gell-Mann matrices
 at n=3.
+
+Every generator has at most n nonzeros, about 2.5 n^2 for the whole basis,
+so :func:`basis` stores them as (k, i, j, value) triplets built straight
+from the definitions above; the dense (n^2, n, n) stack is rendered from
+them only when a consumer reads it.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,18 +59,40 @@ class GeneratorLabel:
         return f"{'S' if self.kind == SYMMETRIC else 'A'}({self.i},{self.j})"
 
 
+class Triplets(NamedTuple):
+    """Entries of a stack of matrices: matrix ``k[t]`` holds ``value[t]`` at
+    row ``i[t]``, column ``j[t]`` (0-based); entries not listed are zero."""
+
+    k: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    value: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class GellMannBasis:
     """Ordered basis for dimension ``n``: n^2 - 1 (label, matrix) pairs.
 
-    ``stack`` is one shared, read-only (n^2, n, n) array holding
-    ``identity(n)`` and then ``matrices``; copy before modifying.  Bases
-    compare and hash by identity, as an array field has no usable ``==``.
+    ``triplets`` lists the generators' nonzeros, with ``k`` indexing
+    ``labels``.  ``stack`` renders them on first use into one shared,
+    read-only (n^2, n, n) array holding ``identity(n)`` and then
+    ``matrices``; copy before modifying.  Bases compare and hash by
+    identity, as array fields have no usable ``==``.
     """
 
     n: int
     labels: tuple
-    stack: np.ndarray
+    triplets: Triplets
+
+    @cached_property
+    def stack(self):
+        """The (n^2, n, n) stack, placed from ``triplets`` on first read."""
+        n, (k, i, j, value) = self.n, self.triplets
+        stack = np.zeros((n * n, n, n), dtype=np.complex128)
+        stack[0] = identity(n)
+        stack[k + 1, i, j] = value
+        stack.setflags(write=False)
+        return stack
 
     @property
     def matrices(self):
@@ -131,30 +159,56 @@ def diagonal_generator(n, d):
     return m
 
 
+def _triplets(n):
+    """Nonzeros of the generators of ``basis(n)``, sorted by generator and
+    row-major within each one.
+
+    The pair generators of ``(i, j)`` (0-based, i < j) are numbered
+    ``j^2 - 1 + 2i`` (S) and one more (A), and ``D(d)`` is ``(d+1)^2 - 2``.
+    Real and imaginary parts are set apart so that ``-1j`` keeps the
+    negative zero real part it has in :func:`antisymmetric_generator`.
+    """
+    j, i = np.tril_indices(n, -1)  # the pairs i < j, by j and then i
+    k_pair = np.repeat(j * j - 1 + 2 * i, 4) + np.tile([0, 0, 1, 1], i.size)
+    rows_pair = np.stack((i, j, i, j), axis=1).ravel()
+    cols_pair = np.stack((j, i, j, i), axis=1).ravel()
+    re_pair = np.tile([1.0, 1.0, -0.0, 0.0], i.size)
+    im_pair = np.tile([0.0, 0.0, -1.0, 1.0], i.size)
+    # D(d) has d + 1 diagonal entries, (m, m) for m = 0..d: row d of a
+    # lower triangle, whose row 0 is no generator
+    d, m = (a[1:] for a in np.tril_indices(n))
+    scale = 1.0 / np.sqrt(d * (d + 1) / 2.0)
+    k = np.concatenate((k_pair, (d + 1) ** 2 - 2))
+    rows = np.concatenate((rows_pair, m))
+    cols = np.concatenate((cols_pair, m))
+    order = np.argsort((k * n + rows) * n + cols)
+    value = np.empty(order.size, dtype=np.complex128)
+    value.real = np.concatenate((re_pair, np.where(m < d, 1.0, -d) * scale))[order]
+    value.imag = np.concatenate((im_pair, np.zeros(m.size)))[order]
+    triplets = Triplets(k[order], rows[order], cols[order], value)
+    for a in triplets:
+        a.setflags(write=False)
+    return triplets
+
+
 @lru_cache(maxsize=None)
 def basis(n):
     """Return the canonically ordered :class:`GellMannBasis` for dimension n.
 
     Order: for j = 2..n emit S(i,j), A(i,j) for i = 1..j-1, then D(j-1).
     At n=2 this is (sigma_1, sigma_2, sigma_3); at n=3 it is the classical
-    (lambda_1, ..., lambda_8).  Results are cached; the stack is filled in
-    place and marked read-only so the cache stays safe to share.
+    (lambda_1, ..., lambda_8).  Results are cached; the triplets are
+    read-only so the cache stays safe to share.
     """
     if n < 2:
         raise ValueError(f"basis dimension must be at least 2, got {n}")
     labels = []
-    stack = np.empty((n * n, n, n), dtype=np.complex128)
-    stack[0] = identity(n)
     for j in range(2, n + 1):
         for i in range(1, j):
             labels.append(GeneratorLabel(SYMMETRIC, i=i, j=j))
-            stack[len(labels)] = symmetric_generator(n, i, j)
             labels.append(GeneratorLabel(ANTISYMMETRIC, i=i, j=j))
-            stack[len(labels)] = antisymmetric_generator(n, i, j)
         labels.append(GeneratorLabel(DIAGONAL, d=j - 1))
-        stack[len(labels)] = diagonal_generator(n, j - 1)
-    stack.setflags(write=False)
-    return GellMannBasis(n=n, labels=tuple(labels), stack=stack)
+    return GellMannBasis(n=n, labels=tuple(labels), triplets=_triplets(n))
 
 
 def extended_stack(n):

@@ -26,13 +26,17 @@ and checked numerically by :func:`verify_closed_form`.  The per-family
 sums behind that expansion (`offdiag_family_sum`, `diagonal_family_sum`)
 are provided together with their condensed elementary-matrix forms so the
 identity can be audited piecewise.  Each sum of squares
-``sum_k kron(G_k, G_k)`` is scattered from the nonzeros of the generators:
-every ordered pair of one generator's at most n nonzeros adds one product
-at one entry, O(n^3) work in all besides writing the n^4-entry output, with
-no matrix product.  The condensed forms are placed entry by entry, so each
-sum is still checked against an independent computation, and
-:func:`verify_closed_form` subtracts its right-hand side from the sum in
-place.
+``sum_k kron(G_k, G_k)`` is formed from the (k, i, j, value) triplets of
+``basis(n)``: every ordered pair of one generator's at most n nonzeros
+gives one product at one cell, O(n^3) work in all, with no matrix product.
+A family is the subset of the triplets on the diagonal, or off it.  The
+family sums render their cells as dense (n^2, n^2) arrays; the checks
+(:func:`verify_closed_form`, :func:`identity_errors`) never do: they
+concatenate the cells of the sum with those of the right-hand side,
+negated, coalesce equal cells and take the largest modulus, so they hold
+O(n^3) entries and no n^4-entry array.  The condensed forms are placed
+from their own formulas, cell by cell, so each sum is still checked
+against an independent computation.
 """
 
 from dataclasses import dataclass
@@ -40,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matops import DEFAULT_ABS_EPS, as_matrix, identity
-from .gellmann import DIAGONAL, basis, extended_stack
+from .gellmann import Triplets, basis, extended_stack
 
 
 @dataclass(frozen=True)
@@ -129,36 +133,73 @@ def closed_form_swap_coefficients(n):
     return ProductCoefficients(p=n, q=n, grid=grid)
 
 
-def _sum_kron_squares(matrices, n):
-    """``sum_k kron(M_k, M_k)`` over a (k, n, n) stack, scattered from nonzeros.
+def _pair_products(triplets, n):
+    """The cells of ``sum_k kron(M_k, M_k)`` from the entries of the M_k.
 
     ``kron(M, M)`` holds ``M[i1, j1] * M[i2, j2]`` at row ``i1*n + i2``,
     column ``j1*n + j2``, so every ordered pair (a, b) of one matrix's
-    nonzeros adds one product at one place.  The pairs of all matrices go
-    into one accumulating scatter: O(sum_k nnz_k^2) work plus the zeroed
-    (n^2, n^2) output, which is O(n^3) for the generators (at most n
-    nonzeros each) instead of the O(n^6) of a dense product.
+    entries adds one product at one place.  Returns the flat keys
+    ``row * n^2 + col`` and the products of the pairs of all matrices:
+    O(sum_k nnz_k^2) work, which is O(n^3) for the generators (at most n
+    nonzeros each), with no matrix product.  ``triplets`` must be sorted by
+    matrix.
     """
-    k, i, j = np.nonzero(matrices)
-    values = matrices[k, i, j]
-    # np.nonzero lists each matrix's nonzeros contiguously, in order of k.
-    counts = np.bincount(k, minlength=len(matrices))
+    k, i, j, value = triplets
+    counts = np.bincount(k)
     first = np.cumsum(counts) - counts
     group = counts[k]
-    # a repeats each nonzero once per nonzero of its matrix, and b steps
-    # through that matrix's nonzeros alongside: every ordered pair once.
+    # a repeats each entry once per entry of its matrix, and b steps
+    # through that matrix's entries alongside: every ordered pair once.
     a = np.repeat(np.arange(k.size), group)
     step = np.arange(a.size) - np.repeat(np.cumsum(group) - group, group)
     b = first[k[a]] + step
-    out = np.zeros((n * n, n * n), dtype=np.complex128)
-    np.add.at(out, (i[a] * n + i[b], j[a] * n + j[b]), values[a] * values[b])
-    return out
+    keys = (i[a] * n + i[b]) * (n * n) + j[a] * n + j[b]
+    return keys, value[a] * value[b]
+
+
+def _sum_kron_squares(triplets, n):
+    """``sum_k kron(M_k, M_k)`` as a dense (n^2, n^2) array, scattered from
+    :func:`_pair_products`."""
+    keys, products = _pair_products(triplets, n)
+    out = np.zeros(n ** 4, dtype=np.complex128)
+    np.add.at(out, keys, products)
+    return out.reshape(n * n, n * n)
+
+
+def _largest_residual(products, cells, n):
+    """Largest modulus of a sum of Kronecker squares minus a reference.
+
+    ``products`` are the sum's (keys, values) from :func:`_pair_products`
+    and ``cells`` the reference's (rows, cols, values).  Both go into one
+    list, the reference negated; the values of one cell are summed and the
+    largest modulus returned.  A NaN propagates.
+    """
+    keys, values = products
+    rows, cols, reference = cells
+    _, where = np.unique(np.concatenate((keys, rows * (n * n) + cols)), return_inverse=True)
+    values = np.concatenate((values, -reference))
+    re = np.bincount(where, weights=values.real)
+    im = np.bincount(where, weights=values.imag)
+    return float(np.max(np.hypot(re, im)))
 
 
 def _family(n, diagonal):
-    """The D generators of ``basis(n)``, or the S/A ones, as one stack."""
-    b = basis(n)
-    return b.matrices[[(label.kind == DIAGONAL) == diagonal for label in b.labels]]
+    """The entries of the D generators of ``basis(n)``, or of the S/A ones.
+
+    The D generators are the diagonal ones, and no S or A entry lies on
+    the diagonal, so a family is the entries with ``i == j`` or the rest.
+    """
+    t = basis(n).triplets
+    pick = (t.i == t.j) == diagonal
+    return Triplets(*(a[pick] for a in t))
+
+
+def _render(cells, n):
+    """Place the (rows, cols, values) ``cells`` in a zeroed (n^2, n^2) array."""
+    rows, cols, values = cells
+    out = np.zeros((n * n, n * n), dtype=np.complex128)
+    out[rows, cols] = values
+    return out
 
 
 def offdiag_family_sum(n):
@@ -166,19 +207,23 @@ def offdiag_family_sum(n):
     return _sum_kron_squares(_family(n, diagonal=False), n)
 
 
-def offdiag_family_reference(n):
-    """Condensed form of the pair-family sum: ``2 sum_{i!=j} kron(E_ij, E_ji)``.
+def _offdiag_reference_cells(n):
+    """Cells of the condensed pair-family sum ``2 sum_{i!=j} kron(E_ij, E_ji)``.
 
     ``kron(E_ij, E_ji)`` has its one 1 at row ``i*n + j``, column
-    ``j*n + i`` (0-based), so the sum is placed entry by entry.
+    ``j*n + i`` (0-based).
     """
     if n < 2:
         raise ValueError(f"family sums need n >= 2, got {n}")
     i, j = np.divmod(np.arange(n * n), n)
     pair = i != j
-    out = np.zeros((n * n, n * n), dtype=np.complex128)
-    out[(i * n + j)[pair], (j * n + i)[pair]] = 2.0
-    return out
+    return (i * n + j)[pair], (j * n + i)[pair], np.full(n * (n - 1), 2.0)
+
+
+def offdiag_family_reference(n):
+    """Condensed form of the pair-family sum: ``2 sum_{i!=j} kron(E_ij, E_ji)``,
+    placed entry by entry."""
+    return _render(_offdiag_reference_cells(n), n)
 
 
 def diagonal_family_sum(n):
@@ -186,34 +231,66 @@ def diagonal_family_sum(n):
     return _sum_kron_squares(_family(n, diagonal=True), n)
 
 
-def diagonal_family_reference(n):
-    """Condensed diagonal-family sum: ``-(2/n) I + 2 sum_i kron(E_ii, E_ii)``.
-
-    ``kron(E_ii, E_ii)`` is the 1 at diagonal index ``i*(n+1)`` (0-based).
-    """
+def _diagonal_reference_cells(n):
+    """Cells of the condensed diagonal-family sum
+    ``-(2/n) I + 2 sum_i kron(E_ii, E_ii)``: every diagonal cell, with 2
+    more at ``kron(E_ii, E_ii)``'s diagonal index ``i*(n+1)`` (0-based)."""
     if n < 2:
         raise ValueError(f"family sums need n >= 2, got {n}")
-    out = identity(n * n)
-    out *= -2.0 / n
-    diag = np.arange(n) * (n + 1)
-    out[diag, diag] += 2.0
-    return out
+    diag = np.arange(n * n)
+    values = np.full(n * n, -2.0 / n)
+    values[np.arange(n) * (n + 1)] += 2.0
+    return diag, diag, values
+
+
+def diagonal_family_reference(n):
+    """Condensed diagonal-family sum: ``-(2/n) I + 2 sum_i kron(E_ii, E_ii)``,
+    placed entry by entry."""
+    return _render(_diagonal_reference_cells(n), n)
+
+
+def _closed_form_cells(n):
+    """Cells of the closed form's right-hand side ``2 swap(n, n) - (2/n) I``:
+    2 at each one of the swap, -2/n on the diagonal."""
+    from .swap import swap_by_formula
+
+    size = n * n
+    diag = np.arange(size)
+    return (
+        np.concatenate((swap_by_formula(n, n).perm, diag)),
+        np.concatenate((diag, diag)),
+        np.concatenate((np.full(size, 2.0), np.full(size, -2.0 / n))),
+    )
 
 
 def verify_closed_form(n, abs_eps=DEFAULT_ABS_EPS):
     """Check ``sum_k kron(G_k, G_k) == 2*swap(n,n) - (2/n) I`` numerically.
 
-    The right-hand side is subtracted from the sum in place: -2 at each
-    one of the swap, +2/n on the diagonal.  A NaN anywhere fails the check.
+    The pair products of the sum and the cells of the right-hand side are
+    coalesced cell by cell, so nothing of n^4 entries is built.  A NaN
+    anywhere fails the check.
     """
-    from .swap import swap_by_formula
-
-    residual = _sum_kron_squares(basis(n).matrices, n)
-    cols = np.arange(n * n)
-    residual[swap_by_formula(n, n).perm, cols] -= 2.0
-    residual[cols, cols] += 2.0 / n
-    err = float(np.max(np.abs(residual)))
+    err = _largest_residual(_pair_products(basis(n).triplets, n), _closed_form_cells(n), n)
     return ClosedFormReport(n=n, max_error=err, abs_eps=abs_eps, passed=err <= abs_eps)
+
+
+def identity_errors(n):
+    """Largest residuals of the closed form, the pair-family sum and the
+    diagonal-family sum at dimension n.
+
+    Each generator's pair products are formed once.  Each family's are
+    checked against the cells of its condensed reference, and their union
+    against the closed form's right-hand side, as in
+    :func:`verify_closed_form`.  A NaN propagates.
+    """
+    off = _pair_products(_family(n, diagonal=False), n)
+    diag = _pair_products(_family(n, diagonal=True), n)
+    both = tuple(np.concatenate(parts) for parts in zip(off, diag))
+    return (
+        _largest_residual(both, _closed_form_cells(n), n),
+        _largest_residual(off, _offdiag_reference_cells(n), n),
+        _largest_residual(diag, _diagonal_reference_cells(n), n),
+    )
 
 
 def _six_term_pairs():

@@ -75,13 +75,15 @@ class SwapMatrix:
         """1-based (row, col) pairs of the ones, sorted by row.
 
         A fresh (pq, 2) int64 array: the row column is ``1..pq`` and the
-        column column is the inverse permutation, filled by one scatter.
+        column column is the inverse permutation, filled by one scatter
+        through its 1-D strided view.
         """
         total = self.size
         out = np.empty((total, 2), dtype=np.int64)
         one_based = np.arange(1, total + 1)
         out[:, 0] = one_based
-        out[self.perm, 1] = one_based
+        col = out[:, 1]
+        col[self.perm] = one_based
         return out
 
 

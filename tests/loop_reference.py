@@ -9,7 +9,11 @@ nonzeros.  The loops here evaluate the same quantities one basis element
 at a time, straight from the definitions: one Hilbert-Schmidt inner
 product per cell, one Kronecker product per term.
 ``sum_kron_squares_realigned`` keeps the dense realigned product that the
-scatter replaced, as a second oracle for it.  ``one_positions``
+scatter replaced, and ``sum_kron_squares_nonzero`` the scatter over the
+``np.nonzero`` of a dense stack that the triplet form replaced, as second
+and third oracles for it.  ``basis_stack`` fills the dense generator stack
+one generator at a time, the way ``basis(n)`` did before it kept
+triplets.  ``one_positions``
 sorts the (row, col) pairs of a swap as Python tuples, ``swap_by_rule_walk``
 walks the swap one column at a time, and ``elementary`` places a single 1
 by its 1-based indices.
@@ -133,6 +137,39 @@ def sum_kron_squares_realigned(matrices, n):
     """
     v = np.reshape(matrices, (len(matrices), n * n))
     return (v.T @ v).reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+
+
+def sum_kron_squares_nonzero(matrices, n):
+    """``sum_k kron(M_k, M_k)`` over a dense (k, n, n) stack, scattered from
+    its ``np.nonzero``: every ordered pair of one matrix's nonzeros adds
+    one product at one entry."""
+    k, i, j = np.nonzero(matrices)
+    values = matrices[k, i, j]
+    counts = np.bincount(k, minlength=len(matrices))
+    first = np.cumsum(counts) - counts
+    group = counts[k]
+    a = np.repeat(np.arange(k.size), group)
+    step = np.arange(a.size) - np.repeat(np.cumsum(group) - group, group)
+    b = first[k[a]] + step
+    out = np.zeros((n * n, n * n), dtype=np.complex128)
+    np.add.at(out, (i[a] * n + i[b], j[a] * n + j[b]), values[a] * values[b])
+    return out
+
+
+def basis_stack(n):
+    """``identity(n)`` and then the generators in canonical order, as one
+    (n^2, n, n) stack filled by the single-generator functions."""
+    stack = np.empty((n * n, n, n), dtype=np.complex128)
+    stack[0] = identity(n)
+    k = 1
+    for j in range(2, n + 1):
+        for i in range(1, j):
+            stack[k] = symmetric_generator(n, i, j)
+            stack[k + 1] = antisymmetric_generator(n, i, j)
+            k += 2
+        stack[k] = diagonal_generator(n, j - 1)
+        k += 1
+    return stack
 
 
 def closed_form_lhs(n):

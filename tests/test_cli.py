@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import tcm
-from tcm import cli
+from tcm import cli, product
 from tcm.gellmann import basis
 from tcm.product import decompose_product
 from tcm.swap import WalkCheckpointError, swap_by_formula
@@ -291,7 +291,7 @@ class TestVerifyCommand:
         def never(*args, **kwargs):
             raise AssertionError("verify ran a check past the size gate")
 
-        monkeypatch.setattr(cli, "verify_closed_form", never)
+        monkeypatch.setattr(cli, "identity_errors", never)
         assert cli.main(["verify", "--n-max", n_max]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -325,14 +325,15 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("family", ["offdiag_family_sum", "diagonal_family_sum"])
     def test_nan_in_a_family_sum_fails_with_exit_1(self, family, monkeypatch, capsys):
-        real = getattr(cli, family)
+        real = product._family
 
-        def with_nan(n):
-            out = real(n)
-            out[0, -1] = np.nan
-            return out
+        def with_nan(n, diagonal):
+            entries = real(n, diagonal)
+            if diagonal == (family == "diagonal_family_sum"):
+                entries = entries._replace(value=np.where(entries.k == entries.k[-1], np.nan, entries.value))
+            return entries
 
-        monkeypatch.setattr(cli, family, with_nan)
+        monkeypatch.setattr(product, "_family", with_nan)
         assert cli.main(["verify", "--n-max", "3", "--tol", "1e-10"]) == 1
         captured = capsys.readouterr()
         lines = captured.out.splitlines()

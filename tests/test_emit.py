@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import emit_reference as ref
 from tcm import cli
-from tcm.gellmann import GellMannBasis, basis
+from tcm.gellmann import GellMannBasis, Triplets, basis
 from tcm.swap import swap_by_formula, swap_by_rule
 
 FORMATS = st.sampled_from(["json", "csv", "pretty"])
@@ -47,8 +47,11 @@ def complex_array(draw, shape):
 
 @st.composite
 def bases(draw):
+    # triplets for every entry of every generator, so each one is a random value
     n = draw(st.integers(2, 3))
-    return GellMannBasis(n=n, labels=basis(n).labels, stack=complex_array(draw, (n * n, n, n)))
+    values = complex_array(draw, (n * n - 1, n, n))
+    k, i, j = (a.ravel() for a in np.indices(values.shape))
+    return GellMannBasis(n=n, labels=basis(n).labels, triplets=Triplets(k, i, j, values.ravel()))
 
 
 @st.composite

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import loop_reference as loops
 from loop_reference import elementary
 from tcm.gellmann import (
+    ANTISYMMETRIC,
+    DIAGONAL,
     BasisCoefficients,
     GeneratorLabel,
     antisymmetric_generator,
@@ -134,6 +139,48 @@ class TestBasis:
         assert after is not before
         assert after != before
         assert len({before, after}) == 2
+
+
+def generator(n, label):
+    if label.kind == DIAGONAL:
+        return diagonal_generator(n, label.d)
+    make = antisymmetric_generator if label.kind == ANTISYMMETRIC else symmetric_generator
+    return make(n, label.i, label.j)
+
+
+def assert_triplets_are_the_generators(n):
+    b = basis(n)
+    k, i, j, value = b.triplets
+    assert all(not a.flags.writeable for a in b.triplets)
+    # canonical order: by generator, row-major within each one
+    assert np.all(np.diff((k * n + i) * n + j) > 0)
+    starts = np.searchsorted(k, np.arange(len(b) + 1))
+    for g, label in enumerate(b.labels):
+        expected = generator(n, label)
+        at = slice(starts[g], starts[g + 1])
+        rows, cols = np.nonzero(expected)
+        assert i[at].tolist() == rows.tolist() and j[at].tolist() == cols.tolist(), label
+        # tobytes compares bit patterns, so the -0.0 real part of -1j counts
+        assert value[at].tobytes() == expected[rows, cols].tobytes(), label
+
+
+class TestTriplets:
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_equal_the_generator_functions_bitwise(self, n):
+        assert_triplets_are_the_generators(n)
+
+    @settings(max_examples=15, deadline=None)
+    @given(n=st.integers(2, 40))
+    def test_equal_the_generator_functions_bitwise_at_random_n(self, n):
+        assert_triplets_are_the_generators(n)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 13])
+    def test_lazy_stack_equals_the_eager_loop_bitwise(self, n):
+        basis.cache_clear()
+        b = basis(n)
+        assert "stack" not in vars(b)
+        assert b.stack.tobytes() == loops.basis_stack(n).tobytes()
+        assert b.stack is b.stack
 
 
 class TestStack:

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from loop_reference import elementary
+from tcm.gellmann import GellMannBasis, Triplets, basis
 from tcm.matops import identity, max_abs_diff
 from tcm.product import (
     ProductCoefficients,
@@ -17,10 +20,17 @@ from tcm.product import (
     swap_32_expression,
     verify_closed_form,
 )
-from tcm import product, swap
+from tcm import cli, product, swap
 from tcm.swap import SwapMatrix, swap_by_formula
 
 RT3 = np.sqrt(3.0)
+
+# Broken generator entries; k = 1 is A(1,2) and k = 2 is D(1) at every n.
+BASIS_MUTATIONS = {
+    "nan": lambda t: t._replace(value=np.where(np.arange(t.k.size) == 0, np.nan, t.value)),
+    "dropped A(1,2)": lambda t: Triplets(*(a[t.k != 1] for a in t)),
+    "D(1) scale off by 1%": lambda t: t._replace(value=np.where(t.k == 2, 1.01 * t.value, t.value)),
+}
 
 
 def random_complex(rng, n):
@@ -192,7 +202,7 @@ class TestClosedForm:
         assert report.passed
         assert report.max_error <= 1e-12
 
-    def test_verify_fails_when_two_swap_columns_trade_ones(self, monkeypatch):
+    def test_verify_fails_when_two_swap_columns_trade_ones(self, monkeypatch, capsys):
         def two_columns_swapped(p, q):
             perm = swap_by_formula(p, q).perm.copy()
             perm[[0, 1]] = perm[[1, 0]]
@@ -202,18 +212,44 @@ class TestClosedForm:
         report = verify_closed_form(3)
         assert not report.passed
         assert report.max_error >= 1
+        assert cli.main(["verify", "--n-max", "3"]) == 1
 
     def test_verify_fails_on_a_nan(self, monkeypatch):
-        real = product._sum_kron_squares
+        real = product._pair_products
 
-        def with_nan(matrices, n):
-            out = real(matrices, n)
-            out[1, 2] = np.nan
-            return out
+        def with_nan(triplets, n):
+            keys, products = real(triplets, n)
+            products[1] = np.nan
+            return keys, products
 
-        monkeypatch.setattr(product, "_sum_kron_squares", with_nan)
+        monkeypatch.setattr(product, "_pair_products", with_nan)
         report = verify_closed_form(3)
         assert not report.passed
+
+    @pytest.mark.parametrize("mutation", sorted(BASIS_MUTATIONS))
+    def test_verify_fails_on_a_broken_generator(self, mutation, monkeypatch, capsys):
+        real = product.basis
+
+        def broken(n):
+            b = real(n)
+            return GellMannBasis(n=n, labels=b.labels, triplets=BASIS_MUTATIONS[mutation](b.triplets))
+
+        monkeypatch.setattr(product, "basis", broken)
+        assert not verify_closed_form(3).passed
+        assert cli.main(["verify", "--n-max", "3"]) == 1
+
+    def test_verify_builds_nothing_of_n4_entries(self):
+        n = 40
+        basis(n)
+        one_n4_array = n ** 4 * np.dtype(np.complex128).itemsize
+        for check in (verify_closed_form, product.identity_errors):
+            tracemalloc.start()
+            try:
+                check(n)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < one_n4_array / 4, check.__name__
 
     def test_reconstruct_equals_swap(self):
         for n in range(2, 13):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import loop_reference as loops
 from loop_reference import basis_coefficients, basis_sum, product_grid, product_sum
 from tcm import product
-from tcm.gellmann import BasisCoefficients, basis, expand_in_basis, reconstruct
+from tcm.gellmann import BasisCoefficients, Triplets, basis, expand_in_basis, reconstruct
 from tcm.matops import DEFAULT_ABS_EPS, max_abs_diff
 from tcm.product import ProductCoefficients, decompose_product, reconstruct_product
 
@@ -79,7 +79,7 @@ def test_identity_sums_match_kron_loops(n):
         "diagonal_family_reference",
     ):
         assert max_abs_diff(getattr(product, name)(n), getattr(loops, name)(n)) <= 1e-12, name
-    lhs = product._sum_kron_squares(basis(n).matrices, n)
+    lhs = product._sum_kron_squares(basis(n).triplets, n)
     assert max_abs_diff(lhs, loops.closed_form_lhs(n)) <= 1e-12
 
 
@@ -104,10 +104,12 @@ def random_sparse_stack(seed, densities, n):
 def test_sum_kron_squares_matches_realigned_product_and_kron_loop(n, densities, seed):
     # density 0 is an all-zero matrix and density 1 a fully dense one
     matrices = random_sparse_stack(seed, densities, n)
-    got = product._sum_kron_squares(matrices, n)
+    k, i, j = np.nonzero(matrices)
+    got = product._sum_kron_squares(Triplets(k, i, j, matrices[k, i, j]), n)
     assert got.shape == (n * n, n * n)
     assert np.max(np.abs(got - loops.sum_kron_squares_realigned(matrices, n))) <= 1e-12
     assert np.max(np.abs(got - loops.sum_kron_squares(matrices, n))) <= 1e-12
+    assert np.max(np.abs(got - loops.sum_kron_squares_nonzero(matrices, n))) <= 1e-12
 
 
 def test_closed_form_beyond_loop_reach():

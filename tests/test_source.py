@@ -27,7 +27,13 @@ def _product_function(name):
 
 
 def test_identity_sums_use_no_matrix_product():
-    for name in ("_sum_kron_squares", "verify_closed_form"):
+    for name in (
+        "_pair_products",
+        "_sum_kron_squares",
+        "_largest_residual",
+        "verify_closed_form",
+        "identity_errors",
+    ):
         nodes = list(ast.walk(_product_function(name)))
         assert not any(isinstance(getattr(node, "op", None), ast.MatMult) for node in nodes), name
         names = {getattr(node, "attr", getattr(node, "id", None)) for node in nodes}
@@ -36,7 +42,7 @@ def test_identity_sums_use_no_matrix_product():
 
 def test_sum_kron_squares_reads_only_its_arguments():
     # no labels, swap or generator formulas: the sums stay independent of the references
-    func = _product_function("_sum_kron_squares")
+    func = _product_function("_pair_products")
     names = [node for node in ast.walk(func) if isinstance(node, ast.Name)]
     local = {arg.arg for arg in func.args.args} | {node.id for node in names if isinstance(node.ctx, ast.Store)}
     assert {node.id for node in names} - local <= {"np", "len"}
