@@ -29,7 +29,6 @@ EXIT_INTERNAL = 3
 # the largest n the checks are run at in CI; re-derive it from their O(n^3)
 # cost before raising it
 _MAX_VERIFY_N = 64
-_clear_basis_cache = basis.cache_clear  # bound at import; perfbench's tracer later wraps `basis`
 
 
 class InputError(Exception):
@@ -460,7 +459,6 @@ def cmd_verify(args):
             f"pair families {off_err:.3e}  diagonal family {diag_err:.3e}  "
             f"{'ok' if ok else 'FAIL'}"
         )
-        _clear_basis_cache()  # keep one n's generators alive, not all up to n_max
     if all_ok:
         print(f"verify: all checks passed for n = 2..{args.n_max} (tol {tol:g})")
         return EXIT_OK

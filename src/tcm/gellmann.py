@@ -16,9 +16,9 @@ reproduces the Pauli matrices at n=2 and the classical Gell-Mann matrices
 at n=3.
 
 Every generator has at most n nonzeros, about 2.5 n^2 for the whole basis,
-so :func:`basis` stores them as (k, i, j, value) triplets built straight
-from the definitions above; the dense (n^2, n, n) stack is rendered from
-them only when a consumer reads it.
+so a basis is ``n`` and its (k, i, j, value) triplets, built straight from
+the definitions above; the labels and the dense (n^2, n, n) stack are
+rendered only when a consumer first reads them.
 """
 
 from dataclasses import dataclass
@@ -73,16 +73,26 @@ class Triplets(NamedTuple):
 class GellMannBasis:
     """Ordered basis for dimension ``n``: n^2 - 1 (label, matrix) pairs.
 
-    ``triplets`` lists the generators' nonzeros, with ``k`` indexing
-    ``labels``.  ``stack`` renders them on first use into one shared,
-    read-only (n^2, n, n) array holding ``identity(n)`` and then
-    ``matrices``; copy before modifying.  Bases compare and hash by
-    identity, as array fields have no usable ``==``.
+    ``triplets`` lists the generators' nonzeros, with ``k`` indexing the
+    canonical order.  ``labels`` and ``stack`` are rendered on first read;
+    ``stack`` is one shared, read-only (n^2, n, n) array holding
+    ``identity(n)`` and then ``matrices``; copy before modifying.  Bases
+    compare and hash by identity, as array fields have no usable ``==``.
     """
 
     n: int
-    labels: tuple
     triplets: Triplets
+
+    @cached_property
+    def labels(self):
+        """The generators' labels, in the order of :func:`basis`."""
+        labels = []
+        for j in range(2, self.n + 1):
+            for i in range(1, j):
+                labels.append(GeneratorLabel(SYMMETRIC, i=i, j=j))
+                labels.append(GeneratorLabel(ANTISYMMETRIC, i=i, j=j))
+            labels.append(GeneratorLabel(DIAGONAL, d=j - 1))
+        return tuple(labels)
 
     @cached_property
     def stack(self):
@@ -99,7 +109,7 @@ class GellMannBasis:
         return self.stack[1:]
 
     def __len__(self):
-        return len(self.labels)
+        return self.n * self.n - 1
 
     def __iter__(self):
         return zip(self.labels, self.matrices)
@@ -202,13 +212,7 @@ def basis(n):
     """
     if n < 2:
         raise ValueError(f"basis dimension must be at least 2, got {n}")
-    labels = []
-    for j in range(2, n + 1):
-        for i in range(1, j):
-            labels.append(GeneratorLabel(SYMMETRIC, i=i, j=j))
-            labels.append(GeneratorLabel(ANTISYMMETRIC, i=i, j=j))
-        labels.append(GeneratorLabel(DIAGONAL, d=j - 1))
-    return GellMannBasis(n=n, labels=tuple(labels), triplets=_triplets(n))
+    return GellMannBasis(n, _triplets(n))
 
 
 def extended_stack(n):

@@ -25,18 +25,21 @@ exposed as a coefficient grid by :func:`closed_form_swap_coefficients`
 and checked numerically by :func:`verify_closed_form`.  The per-family
 sums behind that expansion (`offdiag_family_sum`, `diagonal_family_sum`)
 are provided together with their condensed elementary-matrix forms so the
-identity can be audited piecewise.  Each sum of squares
+identity can be audited piecewise.
+
+Every term of these identities is a list of cells: a flat key
+``row * n^2 + col`` and a complex128 value.  Each sum of squares
 ``sum_k kron(G_k, G_k)`` is formed from the (k, i, j, value) triplets of
 ``basis(n)``: every ordered pair of one generator's at most n nonzeros
-gives one product at one cell, O(n^3) work in all, with no matrix product.
-A family is the subset of the triplets on the diagonal, or off it.  The
-family sums render their cells as dense (n^2, n^2) arrays; the checks
+gives one cell, O(n^3) work in all, with no matrix product.  A family is
+the subset of the triplets on the diagonal, or off it.  The public sums
+and references add their cells into a dense (n^2, n^2) array; the checks
 (:func:`verify_closed_form`, :func:`identity_errors`) never do: they
 concatenate the cells of the sum with those of the right-hand side,
-negated, coalesce equal cells and take the largest modulus, so they hold
+negated, coalesce equal keys and take the largest modulus, so they hold
 O(n^3) entries and no n^4-entry array.  The condensed forms are placed
-from their own formulas, cell by cell, so each sum is still checked
-against an independent computation.
+from their own formulas, so each sum is still checked against an
+independent computation.
 """
 
 from dataclasses import dataclass
@@ -127,9 +130,8 @@ def closed_form_swap_coefficients(n):
     if n < 2:
         raise ValueError(f"closed form needs n >= 2, got {n}")
     grid = np.zeros((n * n, n * n), dtype=np.complex128)
+    np.fill_diagonal(grid, 0.5)
     grid[0, 0] = 1.0 / n
-    for k in range(1, n * n):
-        grid[k, k] = 0.5
     return ProductCoefficients(p=n, q=n, grid=grid)
 
 
@@ -157,27 +159,16 @@ def _pair_products(triplets, n):
     return keys, value[a] * value[b]
 
 
-def _sum_kron_squares(triplets, n):
-    """``sum_k kron(M_k, M_k)`` as a dense (n^2, n^2) array, scattered from
-    :func:`_pair_products`."""
-    keys, products = _pair_products(triplets, n)
-    out = np.zeros(n ** 4, dtype=np.complex128)
-    np.add.at(out, keys, products)
-    return out.reshape(n * n, n * n)
+def _largest_residual(cells, reference):
+    """Largest modulus of the (keys, values) ``cells`` minus ``reference``.
 
-
-def _largest_residual(products, cells, n):
-    """Largest modulus of a sum of Kronecker squares minus a reference.
-
-    ``products`` are the sum's (keys, values) from :func:`_pair_products`
-    and ``cells`` the reference's (rows, cols, values).  Both go into one
-    list, the reference negated; the values of one cell are summed and the
-    largest modulus returned.  A NaN propagates.
+    Both go into one list, the reference negated; the values of one key
+    are summed and the largest modulus returned.  A NaN propagates.
     """
-    keys, values = products
-    rows, cols, reference = cells
-    _, where = np.unique(np.concatenate((keys, rows * (n * n) + cols)), return_inverse=True)
-    values = np.concatenate((values, -reference))
+    keys, values = cells
+    ref_keys, ref_values = reference
+    _, where = np.unique(np.concatenate((keys, ref_keys)), return_inverse=True)
+    values = np.concatenate((values, -ref_values))
     re = np.bincount(where, weights=values.real)
     im = np.bincount(where, weights=values.imag)
     return float(np.max(np.hypot(re, im)))
@@ -195,16 +186,16 @@ def _family(n, diagonal):
 
 
 def _render(cells, n):
-    """Place the (rows, cols, values) ``cells`` in a zeroed (n^2, n^2) array."""
-    rows, cols, values = cells
-    out = np.zeros((n * n, n * n), dtype=np.complex128)
-    out[rows, cols] = values
-    return out
+    """Add the (keys, values) ``cells`` into a zeroed (n^2, n^2) array."""
+    keys, values = cells
+    out = np.zeros(n ** 4, dtype=np.complex128)
+    np.add.at(out, keys, values)
+    return out.reshape(n * n, n * n)
 
 
 def offdiag_family_sum(n):
     """``sum_{i<j} kron(S_ij, S_ij) + kron(A_ij, A_ij)``."""
-    return _sum_kron_squares(_family(n, diagonal=False), n)
+    return _render(_pair_products(_family(n, diagonal=False), n), n)
 
 
 def _offdiag_reference_cells(n):
@@ -217,7 +208,8 @@ def _offdiag_reference_cells(n):
         raise ValueError(f"family sums need n >= 2, got {n}")
     i, j = np.divmod(np.arange(n * n), n)
     pair = i != j
-    return (i * n + j)[pair], (j * n + i)[pair], np.full(n * (n - 1), 2.0)
+    keys = ((i * n + j) * (n * n) + j * n + i)[pair]
+    return keys, np.full(keys.size, 2.0, dtype=np.complex128)
 
 
 def offdiag_family_reference(n):
@@ -228,7 +220,7 @@ def offdiag_family_reference(n):
 
 def diagonal_family_sum(n):
     """``sum_{d=1..n-1} kron(D_d, D_d)``."""
-    return _sum_kron_squares(_family(n, diagonal=True), n)
+    return _render(_pair_products(_family(n, diagonal=True), n), n)
 
 
 def _diagonal_reference_cells(n):
@@ -237,10 +229,9 @@ def _diagonal_reference_cells(n):
     more at ``kron(E_ii, E_ii)``'s diagonal index ``i*(n+1)`` (0-based)."""
     if n < 2:
         raise ValueError(f"family sums need n >= 2, got {n}")
-    diag = np.arange(n * n)
-    values = np.full(n * n, -2.0 / n)
+    values = np.full(n * n, -2.0 / n, dtype=np.complex128)
     values[np.arange(n) * (n + 1)] += 2.0
-    return diag, diag, values
+    return np.arange(n * n) * (n * n + 1), values
 
 
 def diagonal_family_reference(n):
@@ -251,16 +242,15 @@ def diagonal_family_reference(n):
 
 def _closed_form_cells(n):
     """Cells of the closed form's right-hand side ``2 swap(n, n) - (2/n) I``:
-    2 at each one of the swap, -2/n on the diagonal."""
+    2 at each one of the swap, -2/n on the diagonal.  The swap's n ones on
+    the diagonal share their keys with it; these cells are only coalesced,
+    never rendered."""
     from .swap import swap_by_formula
 
     size = n * n
     diag = np.arange(size)
-    return (
-        np.concatenate((swap_by_formula(n, n).perm, diag)),
-        np.concatenate((diag, diag)),
-        np.concatenate((np.full(size, 2.0), np.full(size, -2.0 / n))),
-    )
+    keys = np.concatenate((swap_by_formula(n, n).perm * size + diag, diag * (size + 1)))
+    return keys, np.repeat(np.array([2.0, -2.0 / n], dtype=np.complex128), size)
 
 
 def verify_closed_form(n, abs_eps=DEFAULT_ABS_EPS):
@@ -270,7 +260,7 @@ def verify_closed_form(n, abs_eps=DEFAULT_ABS_EPS):
     coalesced cell by cell, so nothing of n^4 entries is built.  A NaN
     anywhere fails the check.
     """
-    err = _largest_residual(_pair_products(basis(n).triplets, n), _closed_form_cells(n), n)
+    err = _largest_residual(_pair_products(basis(n).triplets, n), _closed_form_cells(n))
     return ClosedFormReport(n=n, max_error=err, abs_eps=abs_eps, passed=err <= abs_eps)
 
 
@@ -287,9 +277,9 @@ def identity_errors(n):
     diag = _pair_products(_family(n, diagonal=True), n)
     both = tuple(np.concatenate(parts) for parts in zip(off, diag))
     return (
-        _largest_residual(both, _closed_form_cells(n), n),
-        _largest_residual(off, _offdiag_reference_cells(n), n),
-        _largest_residual(diag, _diagonal_reference_cells(n), n),
+        _largest_residual(both, _closed_form_cells(n)),
+        _largest_residual(off, _offdiag_reference_cells(n)),
+        _largest_residual(diag, _diagonal_reference_cells(n)),
     )
 
 

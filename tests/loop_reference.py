@@ -13,7 +13,8 @@ scatter replaced, and ``sum_kron_squares_nonzero`` the scatter over the
 ``np.nonzero`` of a dense stack that the triplet form replaced, as second
 and third oracles for it.  ``basis_stack`` fills the dense generator stack
 one generator at a time, the way ``basis(n)`` did before it kept
-triplets.  ``one_positions``
+triplets, and ``basis_labels`` builds the labels the way ``basis(n)`` did
+before they were rendered on first read.  ``one_positions``
 sorts the (row, col) pairs of a swap as Python tuples, ``swap_by_rule_walk``
 walks the swap one column at a time, and ``elementary`` places a single 1
 by its 1-based indices.
@@ -21,7 +22,16 @@ by its 1-based indices.
 
 import numpy as np
 
-from tcm.gellmann import antisymmetric_generator, basis, diagonal_generator, symmetric_generator
+from tcm.gellmann import (
+    ANTISYMMETRIC,
+    DIAGONAL,
+    SYMMETRIC,
+    GeneratorLabel,
+    antisymmetric_generator,
+    basis,
+    diagonal_generator,
+    symmetric_generator,
+)
 from tcm.matops import hs_inner, identity
 from tcm.swap import SwapMatrix, WalkCheckpointError, _check_dims
 
@@ -170,6 +180,18 @@ def basis_stack(n):
         stack[k] = diagonal_generator(n, j - 1)
         k += 1
     return stack
+
+
+def basis_labels(n):
+    """The labels of ``basis(n)``: for j = 2..n, S(i,j) and A(i,j) for
+    i = 1..j-1, then D(j-1)."""
+    labels = []
+    for j in range(2, n + 1):
+        for i in range(1, j):
+            labels.append(GeneratorLabel(SYMMETRIC, i=i, j=j))
+            labels.append(GeneratorLabel(ANTISYMMETRIC, i=i, j=j))
+        labels.append(GeneratorLabel(DIAGONAL, d=j - 1))
+    return tuple(labels)
 
 
 def closed_form_lhs(n):

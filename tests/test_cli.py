@@ -1,10 +1,10 @@
 import csv
 import hashlib
-import importlib.util
 import io
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -13,9 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import tcm
 from tcm import cli, product
-from tcm.gellmann import basis
+from tcm.gellmann import GeneratorLabel, basis
 from tcm.product import decompose_product
 from tcm.swap import WalkCheckpointError, swap_by_formula
 
@@ -298,25 +297,28 @@ class TestVerifyCommand:
         assert captured.err.count("\n") == 1
         assert "--n-max must be at most 64" in captured.err
 
-    def test_keeps_no_basis_cached(self, capsys):
-        # each n's generators are dropped once checked, not kept up to --n-max
-        basis(3)
-        assert cli.main(["verify", "--n-max", "5"]) == 0
-        assert basis.cache_info().currsize == 0
+    def test_reads_no_label_and_renders_no_stack(self, monkeypatch, capsys):
+        # the checks need only each basis's triplets
+        def refuse(label):
+            raise AssertionError("verify built a generator label")
 
-    def test_keeps_no_basis_cached_under_the_benchmark_tracer(self, capsys):
-        # perfbench/tracer.py replaces `basis` in every tcm namespace by a plain wrapper
-        spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
-        tracing = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracing)
-        names = ("matops", "gellmann", "swap", "product", "cli")
-        tracer = tracing.Tracer({"tcm": tcm, **{name: getattr(tcm, name) for name in names}})
-        tracer.install()
+        monkeypatch.setattr(GeneratorLabel, "__post_init__", refuse)
+        basis.cache_clear()
+        assert cli.main(["verify", "--n-max", "5"]) == 0
+        for n in range(2, 6):
+            assert {"labels", "stack"}.isdisjoint(vars(basis(n))), n
+
+    def test_peak_memory_stays_below_a_quarter_of_one_n4_array(self, capsys):
+        # the triplets of every n stay cached; no n^4-entry array is built
+        n_max = 48
+        basis.cache_clear()
+        tracemalloc.start()
         try:
-            assert cli.main(["verify", "--n-max", "3"]) == 0
+            assert cli.main(["verify", "--n-max", str(n_max)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
         finally:
-            tracer.uninstall()
-        assert basis.cache_info().currsize == 0
+            tracemalloc.stop()
+        assert peak < n_max ** 4 * np.dtype(np.complex128).itemsize / 4
 
     def test_impossible_tolerance_exits_1(self):
         result = run_cli("verify", "--n-max", "3", "--tol", "1e-18")

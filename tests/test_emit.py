@@ -51,7 +51,7 @@ def bases(draw):
     n = draw(st.integers(2, 3))
     values = complex_array(draw, (n * n - 1, n, n))
     k, i, j = (a.ravel() for a in np.indices(values.shape))
-    return GellMannBasis(n=n, labels=basis(n).labels, triplets=Triplets(k, i, j, values.ravel()))
+    return GellMannBasis(n=n, triplets=Triplets(k, i, j, values.ravel()))
 
 
 @st.composite

@@ -174,6 +174,27 @@ class TestTriplets:
     def test_equal_the_generator_functions_bitwise_at_random_n(self, n):
         assert_triplets_are_the_generators(n)
 
+    def test_builds_no_label_until_labels_is_read(self, monkeypatch):
+        built = []
+        real = GeneratorLabel.__post_init__
+
+        def counted(label):
+            built.append(label)
+            real(label)
+
+        monkeypatch.setattr(GeneratorLabel, "__post_init__", counted)
+        basis.cache_clear()
+        b = basis(5)
+        assert len(b) == 24
+        assert built == [] and "labels" not in vars(b)
+        assert len(b.labels) == 24
+        assert len(built) == 24
+        assert b.labels is b.labels
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_lazy_labels_equal_the_eager_loop(self, n):
+        assert basis(n).labels == loops.basis_labels(n)
+
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 13])
     def test_lazy_stack_equals_the_eager_loop_bitwise(self, n):
         basis.cache_clear()

@@ -232,7 +232,7 @@ class TestClosedForm:
 
         def broken(n):
             b = real(n)
-            return GellMannBasis(n=n, labels=b.labels, triplets=BASIS_MUTATIONS[mutation](b.triplets))
+            return GellMannBasis(n=n, triplets=BASIS_MUTATIONS[mutation](b.triplets))
 
         monkeypatch.setattr(product, "basis", broken)
         assert not verify_closed_form(3).passed
@@ -259,6 +259,36 @@ class TestClosedForm:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             closed_form_swap_coefficients(1)
+
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_coefficient_grid_bitwise(self, n):
+        expected = np.zeros((n * n, n * n), dtype=np.complex128)
+        expected[0, 0] = 1.0 / n
+        for k in range(1, n * n):
+            expected[k, k] = 0.5
+        assert closed_form_swap_coefficients(n).grid.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_reference_cells_have_complex_values_and_unique_keys(n):
+    # complex values keep np.add.at on its fast path, and unique keys make
+    # rendering a reference a placement
+    for cells in (product._offdiag_reference_cells, product._diagonal_reference_cells, product._closed_form_cells):
+        keys, values = cells(n)
+        assert keys.dtype.kind == "i" and values.dtype == np.complex128, cells.__name__
+        assert keys.shape == values.shape and 0 <= keys.min() and keys.max() < n ** 4, cells.__name__
+    for cells in (product._offdiag_reference_cells, product._diagonal_reference_cells):
+        keys, _ = cells(n)
+        assert np.unique(keys).size == keys.size, cells.__name__
+    # the closed form repeats only the keys of the swap's ones on the
+    # diagonal, (i, i) (x) (i, i), which also carry -2/n
+    keys, _ = product._closed_form_cells(n)
+    values, counts = np.unique(keys, return_counts=True)
+    diagonal_ones = np.arange(n) * (n + 1) * (n * n + 1)
+    assert values[counts > 1].tolist() == diagonal_ones.tolist()
+    assert counts.max() == 2
+    rhs = 2 * swap_by_formula(n, n).dense() - (2 / n) * identity(n * n)
+    assert max_abs_diff(product._render(product._closed_form_cells(n), n), rhs) <= 1e-15
 
 
 class TestFamilySums:

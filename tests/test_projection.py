@@ -79,7 +79,7 @@ def test_identity_sums_match_kron_loops(n):
         "diagonal_family_reference",
     ):
         assert max_abs_diff(getattr(product, name)(n), getattr(loops, name)(n)) <= 1e-12, name
-    lhs = product._sum_kron_squares(basis(n).triplets, n)
+    lhs = product._render(product._pair_products(basis(n).triplets, n), n)
     assert max_abs_diff(lhs, loops.closed_form_lhs(n)) <= 1e-12
 
 
@@ -105,7 +105,7 @@ def test_sum_kron_squares_matches_realigned_product_and_kron_loop(n, densities, 
     # density 0 is an all-zero matrix and density 1 a fully dense one
     matrices = random_sparse_stack(seed, densities, n)
     k, i, j = np.nonzero(matrices)
-    got = product._sum_kron_squares(Triplets(k, i, j, matrices[k, i, j]), n)
+    got = product._render(product._pair_products(Triplets(k, i, j, matrices[k, i, j]), n), n)
     assert got.shape == (n * n, n * n)
     assert np.max(np.abs(got - loops.sum_kron_squares_realigned(matrices, n))) <= 1e-12
     assert np.max(np.abs(got - loops.sum_kron_squares(matrices, n))) <= 1e-12

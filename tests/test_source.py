@@ -29,7 +29,7 @@ def _product_function(name):
 def test_identity_sums_use_no_matrix_product():
     for name in (
         "_pair_products",
-        "_sum_kron_squares",
+        "_render",
         "_largest_residual",
         "verify_closed_form",
         "identity_errors",
