@@ -19,6 +19,11 @@ Every generator has at most n nonzeros, about 2.5 n^2 for the whole basis,
 so a basis is ``n`` and its (k, i, j, value) triplets, built straight from
 the definitions above; the labels and the dense (n^2, n, n) stack are
 rendered only when a consumer first reads them.
+
+Projections over ``{identity} + basis(n)``, here and in the product layer,
+read the per-n constants of :func:`projection_operands`: the stack as
+(n^2, n^2), its conjugate and the squared norms, built once per n and
+read-only, so a call does no more than its matrix products.
 """
 
 from dataclasses import dataclass
@@ -215,29 +220,47 @@ def basis(n):
     return GellMannBasis(n, _triplets(n))
 
 
-def extended_stack(n):
-    """Vectorized ``{identity} + basis(n)`` and the squared HS norms, n >= 1.
+class ProjectionOperands(NamedTuple):
+    """What a projection over ``{identity} + basis(n)`` reads, for one n.
 
-    Returns ``basis(n).stack`` viewed as (n^2, n^2): row k is the
-    row-major ``vec`` of element k, the identity first.  The squared norms
-    are n for the identity and 2 for each generator.  Dimension 1 has no
-    generators: its stack is ``[[1]]`` with norms ``[1]``.
+    ``stack`` is the (n^2, n^2) view of ``basis(n).stack``: row k is the
+    row-major ``vec`` of element k, the identity first.  ``conj`` is its
+    complex conjugate and ``norms`` the squared HS norms (n for the
+    identity, 2 for each generator) as complex128, so a division by them
+    casts nothing.  All three are read-only.
+    """
+
+    stack: np.ndarray
+    conj: np.ndarray
+    norms: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def projection_operands(n):
+    """The cached :class:`ProjectionOperands` of dimension ``n >= 1``.
+
+    Dimension 1 has no generators: its stack is ``[[1]]`` with norms
+    ``[1]``.  Each n projected keeps one extra (n^2, n^2) complex array,
+    the conjugate (16 MB at n = 32); the stack is the basis's own.
     """
     if n < 1:
-        raise ValueError(f"extended stack dimension must be positive, got {n}")
-    stack = basis(n).stack if n > 1 else identity(1)
-    norms = np.full(n * n, 2.0)
+        raise ValueError(f"projection dimension must be positive, got {n}")
+    stack = (basis(n).stack if n > 1 else identity(1)).reshape(n * n, n * n)
+    norms = np.full(n * n, 2.0, dtype=np.complex128)
     norms[0] = n
-    return stack.reshape(n * n, n * n), norms
+    operands = ProjectionOperands(stack, stack.conj(), norms)
+    for a in operands:
+        a.setflags(write=False)
+    return operands
 
 
 def expand_in_basis(m, n=None):
     """Expand ``m`` over ``{identity} + basis(n)`` by orthogonal projection.
 
     ``c0 = Tr(m) / n`` and ``c[k] = hs_inner(basis_k, m) / 2``, all
-    computed as one product of the conjugated :func:`extended_stack` with
-    ``vec(m)``; the input need not be hermitian, in which case
-    coefficients are complex.
+    computed as one product of the cached conjugate stack of
+    :func:`projection_operands` with ``vec(m)``; the input need not be
+    hermitian, in which case coefficients are complex.
     """
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
@@ -246,8 +269,9 @@ def expand_in_basis(m, n=None):
         n = m.shape[0]
     elif m.shape != (n, n):
         raise ValueError(f"matrix shape {m.shape} does not match n={n}")
-    stack, norms = extended_stack(n)
-    coeffs = stack.conj() @ m.ravel() / norms
+    operands = projection_operands(n)
+    coeffs = operands.conj @ m.ravel()
+    coeffs /= operands.norms
     return BasisCoefficients(n=n, c0=complex(coeffs[0]), c=coeffs[1:])
 
 
@@ -257,5 +281,4 @@ def reconstruct(coeffs):
     c = np.asarray(coeffs.c, dtype=np.complex128)
     if c.shape != (n * n - 1,):
         raise ValueError(f"need {n * n - 1} coefficients for n={n}, got {c.shape}")
-    stack, _ = extended_stack(n)
-    return (np.concatenate(([coeffs.c0], c)) @ stack).reshape(n, n)
+    return (np.concatenate(([coeffs.c0], c)) @ projection_operands(n).stack).reshape(n, n)

@@ -15,7 +15,10 @@ products").  Writing composite indices as ``(i1, i2)``, the realignment
 maps ``kron(A_a, B_b)`` to the rank-one ``outer(vec(A_a), vec(B_b))``, so
 with A, B the stacks of vectorized factor bases the projection is
 ``grid = conj(A) @ R(m) @ conj(B).T / outer(norms_p, norms_q)`` and the
-reconstruction is ``R^-1(A.T @ grid @ B)``.
+reconstruction is ``R^-1(A.T @ grid @ B)``.  A, conj(A) and the norms are
+the cached, read-only :func:`~tcm.gellmann.projection_operands` of each
+factor size, so a call is the realignment, two matrix products and one
+division in place; nothing is cached per (p, q) pair.
 
 For equal factors the swap matrix has the closed-form expansion
 
@@ -47,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matops import DEFAULT_ABS_EPS, as_matrix, identity
-from .gellmann import Triplets, basis, extended_stack
+from .gellmann import Triplets, basis, projection_operands
 
 
 @dataclass(frozen=True)
@@ -111,18 +114,17 @@ def decompose_product(m, p, q):
     m = as_matrix(m)
     if m.shape != (p * q, p * q):
         raise ValueError(f"matrix shape {m.shape} does not match p*q = {p * q}")
-    a_stack, a_norms = extended_stack(p)
-    b_stack, b_norms = extended_stack(q)
-    grid = a_stack.conj() @ _realign(m, p, q) @ b_stack.conj().T
-    return ProductCoefficients(p=p, q=q, grid=grid / np.outer(a_norms, b_norms))
+    a, b = projection_operands(p), projection_operands(q)
+    grid = a.conj @ _realign(m, p, q) @ b.conj.T
+    grid /= np.multiply.outer(a.norms, b.norms)
+    return ProductCoefficients(p=p, q=q, grid=grid)
 
 
 def reconstruct_product(coeffs):
     """Evaluate ``sum_ab grid[a, b] * kron(A_a, B_b)``."""
     p, q = coeffs.p, coeffs.q
-    a_stack, _ = extended_stack(p)
-    b_stack, _ = extended_stack(q)
-    return _unrealign(a_stack.T @ coeffs.grid @ b_stack, p, q)
+    a, b = projection_operands(p).stack, projection_operands(q).stack
+    return _unrealign(a.T @ coeffs.grid @ b, p, q)
 
 
 def closed_form_swap_coefficients(n):

@@ -14,7 +14,11 @@ scatter replaced, and ``sum_kron_squares_nonzero`` the scatter over the
 and third oracles for it.  ``basis_stack`` fills the dense generator stack
 one generator at a time, the way ``basis(n)`` did before it kept
 triplets, and ``basis_labels`` builds the labels the way ``basis(n)`` did
-before they were rendered on first read.  ``one_positions``
+before they were rendered on first read.  ``extended_stack`` and the
+``*_per_call`` functions keep the matrix-product projections as they were
+before their per-size operands were cached: the stack, its conjugate and
+the norm grid rebuilt on every call, as the bitwise oracle for the cached
+form.  ``one_positions``
 sorts the (row, col) pairs of a swap as Python tuples, ``swap_by_rule_walk``
 walks the swap one column at a time, and ``elementary`` places a single 1
 by its 1-based indices.
@@ -33,6 +37,7 @@ from tcm.gellmann import (
     symmetric_generator,
 )
 from tcm.matops import hs_inner, identity
+from tcm.product import _realign, _unrealign
 from tcm.swap import SwapMatrix, WalkCheckpointError, _check_dims
 
 
@@ -73,6 +78,44 @@ def product_sum(grid, p, q):
         for b, mb in enumerate(b_mats):
             out += grid[a, b] * np.kron(ma, mb)
     return out
+
+
+def extended_stack(n):
+    """``{identity} + basis(n)`` viewed as (n^2, n^2) and fresh float squared
+    norms, ``[[1]]`` and ``[1]`` at n = 1."""
+    stack = basis(n).stack if n > 1 else identity(1)
+    norms = np.full(n * n, 2.0)
+    norms[0] = n
+    return stack.reshape(n * n, n * n), norms
+
+
+def decompose_per_call(m, p, q):
+    """The product grid of ``m``, conjugating the stacks and forming the
+    norm grid on every call."""
+    a_stack, a_norms = extended_stack(p)
+    b_stack, b_norms = extended_stack(q)
+    grid = a_stack.conj() @ _realign(m, p, q) @ b_stack.conj().T
+    return grid / np.outer(a_norms, b_norms)
+
+
+def reconstruct_product_per_call(grid, p, q):
+    """``sum_ab grid[a, b] * kron(A_a, B_b)`` from per-call stacks."""
+    a_stack, _ = extended_stack(p)
+    b_stack, _ = extended_stack(q)
+    return _unrealign(a_stack.T @ grid @ b_stack, p, q)
+
+
+def expand_per_call(m):
+    """All expansion coefficients of ``m``, the identity's first, from a
+    per-call conjugate stack."""
+    stack, norms = extended_stack(m.shape[0])
+    return stack.conj() @ m.ravel() / norms
+
+
+def reconstruct_per_call(n, c0, c):
+    """``c0 * identity(n) + sum_k c[k] * G_k`` from a per-call stack."""
+    stack, _ = extended_stack(n)
+    return (np.concatenate(([c0], c)) @ stack).reshape(n, n)
 
 
 def basis_coefficients(m):

@@ -14,11 +14,12 @@ from tcm.gellmann import (
     basis,
     diagonal_generator,
     expand_in_basis,
-    extended_stack,
+    projection_operands,
     reconstruct,
     symmetric_generator,
 )
 from tcm.matops import identity, max_abs_diff
+from tcm.product import decompose_product
 
 RT3 = np.sqrt(3.0)
 
@@ -207,6 +208,8 @@ class TestTriplets:
 class TestStack:
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_one_read_only_stack_with_identity_first(self, n):
+        # operands cached before a basis.cache_clear() view the previous basis
+        projection_operands.cache_clear()
         b = basis(n)
         assert not hasattr(b, "elements")
         assert b.stack.shape == (n * n, n, n)
@@ -214,10 +217,13 @@ class TestStack:
         assert not b.stack.flags.writeable
         np.testing.assert_array_equal(b.stack[0], identity(n))
         assert np.shares_memory(b.matrices, b.stack)
-        stack, norms = extended_stack(n)
-        assert np.shares_memory(stack[0], b.stack)
-        assert not stack[0].flags.writeable
+        stack, conj, norms = projection_operands(n)
+        assert stack.shape == conj.shape == (n * n, n * n)
+        assert np.shares_memory(stack, b.stack)
+        assert conj.tobytes() == b.stack.conj().tobytes()
+        assert norms.dtype == np.complex128
         assert norms.tolist() == [n] + [2.0] * (n * n - 1)
+        assert projection_operands(n) is projection_operands(n)
 
     def test_pairs_view_the_stack(self):
         b = basis(3)
@@ -236,18 +242,37 @@ class TestStack:
         assert np.signbit(a12[0, 1].real) and not np.signbit(a12[1, 0].real)
 
     def test_one_dimensional_stack(self):
-        stack, norms = extended_stack(1)
-        assert stack.tolist() == [[1]]
+        stack, conj, norms = projection_operands(1)
+        assert stack.tolist() == conj.tolist() == [[1]]
         assert norms.tolist() == [1]
 
     @pytest.mark.parametrize(
         "call",
-        [lambda: extended_stack(0), lambda: extended_stack(-2), lambda: expand_in_basis(np.zeros((0, 0)))],
-        ids=["extended_stack(0)", "extended_stack(-2)", "expand_in_basis(0x0)"],
+        [
+            lambda: projection_operands(0),
+            lambda: projection_operands(-2),
+            lambda: expand_in_basis(np.zeros((0, 0))),
+            lambda: decompose_product(np.zeros((0, 0)), 0, 3),
+        ],
+        ids=["projection_operands(0)", "projection_operands(-2)", "expand_in_basis(0x0)", "decompose_product(0x0, 0, 3)"],
     )
     def test_dimension_below_one_raises_value_error(self, call):
         with pytest.raises(ValueError):
             call()
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_cached_operands_refuse_writes(self, n):
+        # one caller's write would corrupt every later projection of size n
+        operands = projection_operands(n)
+        for name, a in operands._asdict().items():
+            assert not a.flags.writeable, name
+            with pytest.raises(ValueError):
+                a[0] = 7.0
+            with pytest.raises(ValueError):
+                np.multiply(a, 2.0, out=a)
+        assert projection_operands(n).norms.tolist() == [n] + [2.0] * (n * n - 1)
+        m = np.arange(n * n, dtype=np.complex128).reshape(n, n)
+        assert max_abs_diff(reconstruct(expand_in_basis(m)), m) <= 1e-12
 
 
 class TestExpand:
