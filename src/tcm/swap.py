@@ -4,9 +4,12 @@
 ``U @ kron(a, b) == kron(b, a)`` for every p-vector ``a`` and q-vector
 ``b``.  Two independent constructions are provided: a delta formula
 (`swap_by_formula`, the implementation of record) and a constructive
-column walk (`swap_by_rule`, a cross-check) that places one group of q
-ones at a time.  Both store the permutation as an index map; the dense
-0/1 matrix and the (row, col) positions of its ones are rendered on demand.
+column walk (`swap_by_rule`, a cross-check), computed as one prefix sum
+of the walk's moves.  Both store the permutation as an index map; the
+dense 0/1 matrix and the (row, col) positions of its ones are rendered on
+demand.  Each construction writes its index map once and hands it to the
+swap without a copy; the public ``SwapMatrix(p, q, perm)`` copies the
+caller's array.  Either way it is checked once and made read-only.
 
 Index layout matches :mod:`tcm.matops`: the column of the single 1 for
 input slot ``(j1, j2)`` is ``j1*q + j2`` (``j1 < p`` outer, ``j2 < q``
@@ -36,12 +39,28 @@ class SwapMatrix:
     perm: np.ndarray
 
     def __post_init__(self):
+        self._freeze(self.perm, copy=True)  # owned: the caller's array stays theirs
+
+    @classmethod
+    def _adopt(cls, p, q, perm):
+        """Wrap a freshly built int64 ``perm`` that owns its data, without a copy."""
+        if perm.dtype != np.int64 or perm.base is not None:
+            raise ValueError("only an owned int64 array can be adopted")
+        swap = object.__new__(cls)
+        object.__setattr__(swap, "p", p)
+        object.__setattr__(swap, "q", q)
+        swap._freeze(perm, copy=False)
+        return swap
+
+    def _freeze(self, perm, copy):
+        """Check ``perm`` against (p, q), make it read-only and store it."""
         _check_dims(self.p, self.q)
         total = self.p * self.q
-        perm = np.asarray(self.perm)
+        perm = np.asarray(perm)
         if perm.dtype.kind not in "iu":
             raise ValueError(f"perm must hold integers, got dtype {perm.dtype}")
-        perm = np.array(perm, dtype=np.int64)  # owned: the caller's array stays theirs
+        if copy:
+            perm = np.array(perm, dtype=np.int64)
         if not _is_permutation(perm, total):
             raise ValueError(f"perm must be a permutation of 0..{total - 1}")
         perm.setflags(write=False)
@@ -74,25 +93,31 @@ class SwapMatrix:
     def one_positions(self):
         """1-based (row, col) pairs of the ones, sorted by row.
 
-        A fresh (pq, 2) int64 array: the row column is ``1..pq`` and the
-        column column is the inverse permutation, filled by one scatter
-        through its 1-D strided view.
+        A fresh (pq, 2) int64 array, column-major: the transpose of a
+        (2, pq) array whose first row is ``1..pq`` and whose second,
+        contiguous row is the inverse permutation, filled by one scatter.
         """
         total = self.size
-        out = np.empty((total, 2), dtype=np.int64)
-        one_based = np.arange(1, total + 1)
-        out[:, 0] = one_based
-        col = out[:, 1]
-        col[self.perm] = one_based
-        return out
+        out = np.empty((2, total), dtype=np.int64)
+        rows, cols = out
+        rows[:] = np.arange(1, total + 1)
+        cols[self.perm] = rows
+        return out.T
 
 
 def _is_permutation(perm, total):
-    """O(pq): ``total`` in-range indices that hit every slot hit each once."""
-    if perm.shape != (total,) or perm.min() < 0 or perm.max() >= total:
+    """O(pq): ``total`` in-range indices that hit every slot hit each once.
+
+    An index of ``total`` or more makes the scatter raise ``IndexError``,
+    so no separate pass looks for the largest one.
+    """
+    if perm.shape != (total,) or perm.min() < 0:
         return False
     seen = np.zeros(total, dtype=bool)
-    seen[perm] = True
+    try:
+        seen[perm] = True
+    except IndexError:
+        return False
     return bool(seen.all())
 
 
@@ -111,7 +136,9 @@ def swap_by_formula(p, q):
     """
     _check_dims(p, q)
     j1, j2 = np.ogrid[:p, :q]
-    return SwapMatrix(p=p, q=q, perm=(j2 * p + j1).ravel())
+    perm = np.empty(p * q, dtype=np.int64)
+    np.add(j2 * p, j1, out=perm.reshape(p, q))
+    return SwapMatrix._adopt(p, q, perm)
 
 
 def swap_by_rule(p, q):
@@ -120,28 +147,33 @@ def swap_by_rule(p, q):
     Start with a 1 at row 1, column 1; in each following column descend p
     rows and place a 1.  Whenever fewer than p rows remain (after the k-th
     group of q ones), restart the descent at row k+1 in the next column.
-    The walk places one such group at a time: group k is the descent
-    ``k, k+p, k+2p, ...`` down to the last row, written into the next
-    columns.  It ends with a 1 at (pq, pq); a broken checkpoint raises
-    :class:`WalkCheckpointError`.  Kept free of any call into
-    :func:`swap_by_formula` so the two constructions stay independent
-    cross-checks of each other.
+    Group k is thus the descent ``k, k+p, k+2p, ...`` over the rows that
+    do not pass pq, and the walk is one prefix sum of its moves: p in
+    every column, except the first column of group k+1, whose move goes
+    from group k's last row back to row k+1.  It ends with a 1 at
+    (pq, pq); a broken checkpoint raises :class:`WalkCheckpointError`.
+    Kept free of any call into :func:`swap_by_formula` so the two
+    constructions stay independent cross-checks of each other.
     """
     _check_dims(p, q)
     total = p * q
-    rows = np.empty(total, dtype=np.int64)
-    col = 0
-    for group in range(1, p + 1):
-        descent = np.arange(group, total + 1, p)
-        end = col + descent.size
-        # Walk checkpoint: each group holds exactly q ones, so group k
-        # ends at column k*q and group k+1 starts in the next column.
-        if end != group * q:
-            raise WalkCheckpointError(
-                f"group {group} ended at column {end}, expected {group * q}"
-            )
-        rows[col:end] = descent
-        col = end
-    if rows[-1] != total:
+    group = np.arange(1, p + 1)
+    sizes = (total - group) // p + 1  # the descent stops before passing pq
+    ends = np.cumsum(sizes)
+    # Walk checkpoint: each group holds exactly q ones, so group k ends at
+    # column k*q and group k+1 starts in the next column.
+    broken = np.flatnonzero(ends != group * q)
+    if broken.size:
+        k = int(broken[0])
+        raise WalkCheckpointError(
+            f"group {k + 1} ended at column {ends[k]}, expected {(k + 1) * q}"
+        )
+    lasts = group + (sizes - 1) * p
+    if lasts[-1] != total:
         raise WalkCheckpointError("walk must end with a 1 at (pq, pq)")
-    return SwapMatrix(p=p, q=q, perm=rows - 1)
+    # 0-based rows: start at row 0, then add each column's move in place.
+    rows = np.full(total, p, dtype=np.int64)
+    rows[0] = 0
+    rows[ends[:-1]] = group[1:] - lasts[:-1]
+    np.cumsum(rows, out=rows)
+    return SwapMatrix._adopt(p, q, rows)

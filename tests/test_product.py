@@ -146,6 +146,31 @@ class TestDecompose:
         with pytest.raises(ValueError):
             ProductCoefficients(p=2, q=2, grid=np.zeros((3, 4)))
 
+    def test_grid_is_an_owned_copy(self):
+        # writing through a view of the caller's array must not reach the grid
+        a = np.zeros((4, 4), dtype=complex)
+        v = a[:]
+        coeffs = ProductCoefficients(2, 2, a)
+        v[:] = 1
+        assert not np.shares_memory(a, coeffs.grid)
+        assert not coeffs.grid.any()
+
+    def test_callers_array_stays_writable(self):
+        a = np.zeros((4, 4), dtype=complex)
+        ProductCoefficients(2, 2, a)
+        assert a.flags.writeable
+        a[0, 0] = 1
+        assert a[0, 0] == 1
+
+    @pytest.mark.parametrize(
+        "build", [lambda: decompose_product(identity(6), 2, 3), lambda: closed_form_swap_coefficients(3)]
+    )
+    def test_built_grid_is_read_only_and_owns_its_data(self, build):
+        grid = build().grid
+        assert grid.dtype == np.complex128
+        assert not grid.flags.writeable
+        assert grid.base is None
+
 
 class TestReconstruct:
     @pytest.mark.parametrize("p,q", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 4)])

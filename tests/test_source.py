@@ -48,6 +48,15 @@ def test_sum_kron_squares_reads_only_its_arguments():
     assert {node.id for node in names} - local <= {"np", "len"}
 
 
+def test_rule_walk_stays_independent_of_the_formula():
+    # the walk is a cross-check only while it never forms perm[j1*q + j2] = j2*p + j1
+    tree = ast.parse((SOURCE_DIR / "swap.py").read_text(encoding="utf-8"))
+    func = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "swap_by_rule")
+    names = {node.id for node in ast.walk(func) if isinstance(node, ast.Name)}
+    assert names.isdisjoint({"swap_by_formula", "j1", "j2"})
+    assert "ogrid" not in {node.attr for node in ast.walk(func) if isinstance(node, ast.Attribute)}
+
+
 def test_every_traced_name_exists():
     # the benchmark's tracer refuses to install when a name it wraps is gone
     spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")

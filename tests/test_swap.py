@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import loop_reference
 from tcm.matops import identity, max_abs_diff
-from tcm.swap import SwapMatrix, swap_by_formula, swap_by_rule
+from tcm.swap import SwapMatrix, _is_permutation, swap_by_formula, swap_by_rule
 
 # Frozen 2 (x) 2 swap matrix.
 U22 = np.array(
@@ -80,6 +80,12 @@ class TestRule:
         assert np.array_equal(rule, loop_reference.swap_by_rule_walk(p, q).perm)
         assert np.array_equal(rule, swap_by_formula(p, q).perm)
 
+    @pytest.mark.parametrize("p,q", [(400000, 1), (1, 400000), (20000, 20), (20, 20000), (7919, 13)])
+    def test_extreme_shapes_match_column_walk_and_formula(self, p, q):
+        rule = swap_by_rule(p, q).perm
+        assert np.array_equal(rule, swap_by_formula(p, q).perm)
+        assert np.array_equal(rule, loop_reference.swap_by_rule_walk(p, q).perm)
+
 
 class TestOnePositions:
     @settings(max_examples=80, deadline=None)
@@ -104,6 +110,11 @@ class TestOnePositions:
         first = u.one_positions()
         first[:] = 0
         assert np.array_equal(u.one_positions(), POSITIONS_32)
+
+    def test_column_major_with_contiguous_columns(self):
+        positions = swap_by_rule(3, 2).one_positions()
+        assert positions.flags.f_contiguous and positions.flags.writeable
+        assert positions[:, 1].flags.c_contiguous
 
 
 class TestApply:
@@ -192,7 +203,7 @@ class TestSwapMatrixType:
         with pytest.raises(ValueError):
             SwapMatrix(p=2, q=2, perm=np.arange(3))
 
-    @pytest.mark.parametrize("perm", [[0, 1, 2, 4], [-1, 0, 1, 2]])
+    @pytest.mark.parametrize("perm", [[0, 1, 2, 4], [0, 1, 2, 2**62], [-1, 0, 1, 2], [-5, 0, 1, 2]])
     def test_rejects_out_of_range_index(self, perm):
         with pytest.raises(ValueError, match="permutation"):
             SwapMatrix(p=2, q=2, perm=perm)
@@ -229,6 +240,25 @@ class TestSwapMatrixType:
         b[0] = 1
         assert b.tolist() == [1, 1]
 
+    @pytest.mark.parametrize("build", [swap_by_formula, swap_by_rule])
+    @pytest.mark.parametrize("p,q", [(1, 1), (3, 2), (1, 7), (7, 1), (40, 25)])
+    def test_constructed_perm_is_read_only_and_owns_its_data(self, build, p, q):
+        perm = build(p, q).perm
+        assert perm.dtype == np.int64
+        assert not perm.flags.writeable
+        assert perm.base is None
+
+    def test_public_constructor_still_copies(self):
+        b = np.arange(6)
+        u = SwapMatrix(6, 1, b)
+        assert not np.shares_memory(u.perm, b)
+        assert u.perm.base is None
+
+    def test_adopt_refuses_a_view(self):
+        owner = np.arange(4)
+        with pytest.raises(ValueError, match="owned"):
+            SwapMatrix._adopt(2, 2, owner[:])
+
     def test_kron_consistency_with_dense(self):
         # dense @ kron(a, b) must equal apply(kron(a, b))
         rng = np.random.default_rng(402)
@@ -239,3 +269,35 @@ class TestSwapMatrixType:
         assert max_abs_diff(
             (u.dense() @ v).reshape(6, 1), u.apply(v).reshape(6, 1)
         ) <= 1e-12
+
+
+@st.composite
+def perm_candidates(draw):
+    """A length ``total`` and an int64 array to test as a permutation of it.
+
+    Mixes true permutations, permutations with one entry changed, and
+    arbitrary lists: values of ``total`` and more, in [-total, -1], below
+    -total, duplicates and wrong lengths.
+    """
+    total = draw(st.integers(1, 30))
+    values = st.one_of(
+        st.integers(-3 * total, 3 * total),
+        st.integers(-(2**63), 2**63 - 1),
+    )
+    kind = draw(st.sampled_from(["permutation", "one changed", "arbitrary"]))
+    if kind == "arbitrary":
+        perm = draw(st.lists(values, min_size=0, max_size=total + 2))
+    else:
+        perm = draw(st.permutations(range(total)))
+        if kind == "one changed":
+            perm[draw(st.integers(0, total - 1))] = draw(values)
+    return total, np.array(perm, dtype=np.int64)
+
+
+class TestIsPermutation:
+    @settings(max_examples=400, deadline=None)
+    @given(case=perm_candidates())
+    def test_agrees_with_set_oracle(self, case):
+        total, perm = case
+        expected = len(perm) == total and set(perm.tolist()) == set(range(total))
+        assert _is_permutation(perm, total) is expected
