@@ -66,24 +66,9 @@ class ProductCoefficients:
     grid: np.ndarray
 
     def __post_init__(self):
-        self._freeze(self.grid, copy=True)  # owned: the caller's array stays theirs
-
-    @classmethod
-    def _adopt(cls, p, q, grid):
-        """Wrap a freshly built complex128 ``grid`` that owns its data, without a copy."""
-        if grid.dtype != np.complex128 or grid.base is not None:
-            raise ValueError("only an owned complex128 array can be adopted")
-        coeffs = object.__new__(cls)
-        object.__setattr__(coeffs, "p", p)
-        object.__setattr__(coeffs, "q", q)
-        coeffs._freeze(grid, copy=False)
-        return coeffs
-
-    def _freeze(self, grid, copy):
-        """Check ``grid`` against (p, q), make it read-only and store it."""
         if self.p < 1 or self.q < 1:
             raise ValueError(f"factor dimensions must be positive, got p={self.p}, q={self.q}")
-        grid = np.array(grid, dtype=np.complex128) if copy else grid
+        grid = np.array(self.grid, dtype=np.complex128)  # owned: the caller's array stays theirs
         expected = (self.p * self.p, self.q * self.q)
         if grid.shape != expected:
             raise ValueError(f"grid shape must be {expected}, got {grid.shape}")
@@ -132,7 +117,7 @@ def decompose_product(m, p, q):
     a, b = projection_operands(p), projection_operands(q)
     grid = a.conj @ _realign(m, p, q) @ b.conj.T
     grid /= np.multiply.outer(a.norms, b.norms)
-    return ProductCoefficients._adopt(p, q, grid)
+    return ProductCoefficients(p=p, q=q, grid=grid)
 
 
 def reconstruct_product(coeffs):
@@ -149,7 +134,7 @@ def closed_form_swap_coefficients(n):
     grid = np.zeros((n * n, n * n), dtype=np.complex128)
     np.fill_diagonal(grid, 0.5)
     grid[0, 0] = 1.0 / n
-    return ProductCoefficients._adopt(n, n, grid)
+    return ProductCoefficients(p=n, q=n, grid=grid)
 
 
 def _pair_products(triplets, n):

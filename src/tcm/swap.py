@@ -39,7 +39,7 @@ class SwapMatrix:
     perm: np.ndarray
 
     def __post_init__(self):
-        self._freeze(self.perm, copy=True)  # owned: the caller's array stays theirs
+        self._freeze(np.array(self.perm))  # owned: the caller's array stays theirs
 
     @classmethod
     def _adopt(cls, p, q, perm):
@@ -49,18 +49,16 @@ class SwapMatrix:
         swap = object.__new__(cls)
         object.__setattr__(swap, "p", p)
         object.__setattr__(swap, "q", q)
-        swap._freeze(perm, copy=False)
+        swap._freeze(perm)
         return swap
 
-    def _freeze(self, perm, copy):
-        """Check ``perm`` against (p, q), make it read-only and store it."""
+    def _freeze(self, perm):
+        """Check an owned ``perm`` against (p, q), make it read-only and store it."""
         _check_dims(self.p, self.q)
         total = self.p * self.q
-        perm = np.asarray(perm)
         if perm.dtype.kind not in "iu":
             raise ValueError(f"perm must hold integers, got dtype {perm.dtype}")
-        if copy:
-            perm = np.array(perm, dtype=np.int64)
+        perm = perm.astype(np.int64, copy=False)
         if not _is_permutation(perm, total):
             raise ValueError(f"perm must be a permutation of 0..{total - 1}")
         perm.setflags(write=False)
