@@ -10,14 +10,10 @@ from .matops import DEFAULT_ABS_EPS, hs_inner, identity, max_abs_diff
 from .gellmann import (
     BasisCoefficients,
     GellMannBasis,
-    GeneratorLabel,
     Triplets,
-    antisymmetric_generator,
     basis,
-    diagonal_generator,
     expand_in_basis,
     reconstruct,
-    symmetric_generator,
 )
 from .swap import SwapMatrix, swap_by_formula, swap_by_rule
 from .product import (
@@ -44,17 +40,14 @@ __all__ = [
     "BasisCoefficients",
     "ClosedFormReport",
     "GellMannBasis",
-    "GeneratorLabel",
     "ProductCoefficients",
     "SwapMatrix",
     "Triplets",
-    "antisymmetric_generator",
     "basis",
     "closed_form_swap_coefficients",
     "decompose_product",
     "diagonal_family_reference",
     "diagonal_family_sum",
-    "diagonal_generator",
     "expand_in_basis",
     "extended_labels",
     "hs_inner",
@@ -69,6 +62,5 @@ __all__ = [
     "swap_32_expression",
     "swap_by_formula",
     "swap_by_rule",
-    "symmetric_generator",
     "verify_closed_form",
 ]

@@ -2,6 +2,8 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error,
 3 internal consistency failure (rule and formula constructions disagree).
+A request whose largest array would exceed ``_MAX_ARRAY_BYTES`` is a usage
+error, refused before anything is built.
 Complex numbers serialize as [re, im] pairs in JSON and as re,im column
 pairs in CSV; matrices in JSON always use the object form
 ``{"rows": R, "cols": C, "entries": [[re, im], ...]}`` (row-major), which
@@ -17,7 +19,7 @@ from itertools import chain
 import numpy as np
 
 from .matops import DEFAULT_ABS_EPS, as_matrix
-from .gellmann import DIAGONAL, basis
+from .gellmann import basis
 from .swap import WalkCheckpointError, swap_by_formula, swap_by_rule
 from .product import decompose_product, extended_labels, identity_errors
 
@@ -29,6 +31,9 @@ EXIT_INTERNAL = 3
 # the largest n the checks are run at in CI; re-derive it from their O(n^3)
 # cost before raising it
 _MAX_VERIFY_N = 64
+# the most one array of swap, basis or decompose may take: one 4096 x 4096
+# complex matrix, the scale of verify's n <= 64
+_MAX_ARRAY_BYTES = 256 << 20
 
 
 class InputError(Exception):
@@ -38,6 +43,22 @@ class InputError(Exception):
 def _fail(message):
     print(f"tcm: error: {message}", file=sys.stderr)
     return EXIT_USAGE
+
+
+def _size_text(size):
+    for unit in ("bytes", "KiB", "MiB", "GiB"):
+        if size < 1024:
+            return f"{size:.4g} {unit}"
+        size /= 1024
+    return f"{size:.4g} TiB"
+
+
+def _check_size(array, cells, dtype):
+    """Raise InputError if ``cells`` entries of ``dtype``, the request's
+    largest array (named by ``array``), exceed _MAX_ARRAY_BYTES."""
+    size = cells * np.dtype(dtype).itemsize
+    if size > _MAX_ARRAY_BYTES:
+        raise InputError(f"{array} would take {_size_text(size)}, over the {_size_text(_MAX_ARRAY_BYTES)} limit")
 
 
 def _default_tolerance():
@@ -210,28 +231,21 @@ def _write_pretty(m):
 def _write_basis(fmt, b):
     """Write the generators of the basis ``b`` in ``fmt`` (json, csv or pretty)."""
     n = b.n
+    # ordinal, kind and the indices i, j, d of each generator; 0 marks an index it lacks
+    table = list(enumerate(zip(*(a.tolist() for a in b.table)), start=1))
     if fmt == "json":
-        generators = []
-        for ordinal, label in enumerate(b.labels, start=1):
-            record = {"ordinal": ordinal, "kind": label.kind}
-            if label.kind == DIAGONAL:
-                record["d"] = label.d
-            else:
-                record["i"] = label.i
-                record["j"] = label.j
-            record["matrix"] = {"rows": n, "cols": n, "entries": _LIST}
-            generators.append(record)
+        generators = [
+            {"ordinal": ordinal, "kind": kind, **{k: v for k, v in zip("ijd", ijd) if v},
+             "matrix": {"rows": n, "cols": n, "entries": _LIST}}
+            for ordinal, (kind, *ijd) in table
+        ]
         _write_json(
             {"command": "basis", "n": n, "generators": generators},
             [_json_entries(mat, 5) for mat in b.matrices],
         )
     elif fmt == "csv":
         sys.stdout.write(_csv_row(["ordinal", "kind", "i", "j", "d", "row", "col", "re", "im"]) + "\r\n")
-        labels = []
-        for ordinal, label in enumerate(b.labels, start=1):
-            ijd = ("", "", label.d) if label.kind == DIAGONAL else (label.i, label.j, "")
-            labels.append(_csv_row([ordinal, label.kind, *ijd]) + ",")
-        labels = _objects(labels)
+        labels = _objects(_csv_row([ordinal, kind, *(v or "" for v in ijd)]) + "," for ordinal, (kind, *ijd) in table)
         cells = _objects(f"{r},{c}," for r in range(1, n + 1) for c in range(1, n + 1))
         mats = b.matrices.reshape(len(b), n * n)
         _write_records(len(b), n * n, lambda a, z: [labels[a:z, None], cells, _texts(mats[a:z], _csv_pair)])
@@ -381,9 +395,11 @@ def _pair_values(entries):
 # subcommands
 
 def cmd_basis(args):
-    if args.n < 2:
+    n = args.n
+    if n < 2:
         return _fail("--n must be at least 2")
-    _write_basis(args.format, basis(args.n))
+    _check_size(f"the ({n * n}, {n}, {n}) basis stack", n ** 4, np.complex128)
+    _write_basis(args.format, basis(n))
     return EXIT_OK
 
 
@@ -391,6 +407,10 @@ def cmd_swap(args):
     p, q = args.p, args.q
     if p < 1 or q < 1:
         return _fail("--p and --q must be at least 1")
+    if args.dense:
+        _check_size(f"the dense {p * q} x {p * q} swap", (p * q) ** 2, np.complex128)
+    else:
+        _check_size(f"the {p * q}-entry swap permutation", p * q, np.int64)
     methods_agree = None
     try:
         if args.method == "both":
@@ -418,13 +438,12 @@ def cmd_decompose(args):
         return _fail("--p and --q must be at least 1")
     if not np.isfinite(args.threshold) or args.threshold < 0:
         return _fail("--threshold must be finite and non-negative")
+    n = max(p, q)
+    _check_size(f"the ({n * n}, {n * n}) projection operands of factor size {n}", n ** 4, np.complex128)
     if args.input == "swap":
         m = swap_by_formula(p, q).dense()
     else:
-        try:
-            m = _load_matrix_file(args.input)
-        except InputError as exc:
-            return _fail(str(exc))
+        m = _load_matrix_file(args.input)
         if m.shape != (p * q, p * q):
             return _fail(
                 f"matrix file {args.input!r} is {m.shape[0]} x {m.shape[1]}, "
@@ -443,10 +462,7 @@ def cmd_verify(args):
             f"--n-max must be at most {_MAX_VERIFY_N} "
             f"(the largest size the checks are tested at)"
         )
-    try:
-        tol = args.tol if args.tol is not None else _default_tolerance()
-    except InputError as exc:
-        return _fail(str(exc))
+    tol = args.tol if args.tol is not None else _default_tolerance()
     if not np.isfinite(tol) or tol < 0:
         return _fail("--tol must be finite and non-negative")
     all_ok = True
@@ -527,7 +543,10 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InputError as exc:
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

@@ -17,8 +17,11 @@ at n=3.
 
 Every generator has at most n nonzeros, about 2.5 n^2 for the whole basis,
 so a basis is ``n`` and its (k, i, j, value) triplets, built straight from
-the definitions above; the labels and the dense (n^2, n, n) stack are
-rendered only when a consumer first reads them.
+the definitions above.  One helper, :func:`_numbering`, gives each
+generator its place in the canonical order; the triplets and the
+(kind, i, j, d) :class:`GeneratorTable` are placed by it.  The table, the
+string labels (``"S(1,2)"``, ...) rendered from it and the dense
+(n^2, n, n) stack are built only when a consumer first reads them.
 
 Projections over ``{identity} + basis(n)``, here and in the product layer,
 read the per-n constants of :func:`projection_operands`: the stack as
@@ -39,31 +42,6 @@ ANTISYMMETRIC = "antisymmetric"
 DIAGONAL = "diagonal"
 
 
-@dataclass(frozen=True)
-class GeneratorLabel:
-    """Identity of one generator: S(i,j), A(i,j) or D(d), indices 1-based."""
-
-    kind: str
-    i: int = 0
-    j: int = 0
-    d: int = 0
-
-    def __post_init__(self):
-        if self.kind in (SYMMETRIC, ANTISYMMETRIC):
-            if not 1 <= self.i < self.j:
-                raise ValueError("pair generators need indices 1 <= i < j")
-        elif self.kind == DIAGONAL:
-            if self.d < 1:
-                raise ValueError("diagonal generators need d >= 1")
-        else:
-            raise ValueError(f"unknown generator kind {self.kind!r}")
-
-    def __str__(self):
-        if self.kind == DIAGONAL:
-            return f"D({self.d})"
-        return f"{'S' if self.kind == SYMMETRIC else 'A'}({self.i},{self.j})"
-
-
 class Triplets(NamedTuple):
     """Entries of a stack of matrices: matrix ``k[t]`` holds ``value[t]`` at
     row ``i[t]``, column ``j[t]`` (0-based); entries not listed are zero."""
@@ -74,13 +52,25 @@ class Triplets(NamedTuple):
     value: np.ndarray
 
 
+class GeneratorTable(NamedTuple):
+    """The generators of a basis in canonical order, one entry each, as
+    read-only arrays: ``kind`` is SYMMETRIC, ANTISYMMETRIC or DIAGONAL;
+    ``i`` and ``j`` are the 1-based pair of S(i,j) and A(i,j), 0 for D(d);
+    ``d`` is that of D(d), 0 for the pairs."""
+
+    kind: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    d: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class GellMannBasis:
     """Ordered basis for dimension ``n``: n^2 - 1 (label, matrix) pairs.
 
     ``triplets`` lists the generators' nonzeros, with ``k`` indexing the
-    canonical order.  ``labels`` and ``stack`` are rendered on first read;
-    ``stack`` is one shared, read-only (n^2, n, n) array holding
+    canonical order.  ``table``, ``labels`` and ``stack`` are rendered on
+    first read; ``stack`` is one shared, read-only (n^2, n, n) array holding
     ``identity(n)`` and then ``matrices``; copy before modifying.  Bases
     compare and hash by identity, as array fields have no usable ``==``.
     """
@@ -89,15 +79,28 @@ class GellMannBasis:
     triplets: Triplets
 
     @cached_property
+    def table(self):
+        """The generators' :class:`GeneratorTable`, in the order of :func:`basis`."""
+        i, j, k, d, k_diagonal = _numbering(self.n)
+        pairs = np.concatenate((k, k + 1))
+        kind = np.full(len(self), DIAGONAL, dtype=f"<U{len(ANTISYMMETRIC)}")
+        kind[k], kind[k + 1] = SYMMETRIC, ANTISYMMETRIC
+        table = GeneratorTable(kind, *np.zeros((3, len(self)), dtype=np.int64))
+        table.i[pairs] = np.tile(i + 1, 2)
+        table.j[pairs] = np.tile(j + 1, 2)
+        table.d[k_diagonal] = d
+        for a in table:
+            a.setflags(write=False)
+        return table
+
+    @cached_property
     def labels(self):
-        """The generators' labels, in the order of :func:`basis`."""
-        labels = []
-        for j in range(2, self.n + 1):
-            for i in range(1, j):
-                labels.append(GeneratorLabel(SYMMETRIC, i=i, j=j))
-                labels.append(GeneratorLabel(ANTISYMMETRIC, i=i, j=j))
-            labels.append(GeneratorLabel(DIAGONAL, d=j - 1))
-        return tuple(labels)
+        """The generators' labels ``S(i,j)``, ``A(i,j)`` and ``D(d)`` as
+        strings, in the order of :func:`basis`."""
+        return tuple(
+            f"D({d})" if kind == DIAGONAL else f"{kind[0].upper()}({i},{j})"
+            for kind, i, j, d in zip(*(a.tolist() for a in self.table))
+        )
 
     @cached_property
     def stack(self):
@@ -136,55 +139,28 @@ class BasisCoefficients:
     c: np.ndarray
 
 
-def _check_pair(n, i, j):
-    if n < 2:
-        raise ValueError(f"generator dimension must be at least 2, got {n}")
-    if not (1 <= i < j <= n):
-        raise ValueError(f"pair indices need 1 <= i < j <= n, got ({i},{j}) for n={n}")
+def _numbering(n):
+    """The place of each generator of dimension ``n`` in the canonical order.
 
-
-def symmetric_generator(n, i, j):
-    """Generator with ones at (i,j) and (j,i), 1 <= i < j <= n."""
-    _check_pair(n, i, j)
-    m = np.zeros((n, n), dtype=np.complex128)
-    m[i - 1, j - 1] = 1.0
-    m[j - 1, i - 1] = 1.0
-    return m
-
-
-def antisymmetric_generator(n, i, j):
-    """Generator with -1j at (i,j) and +1j at (j,i), 1 <= i < j <= n."""
-    _check_pair(n, i, j)
-    m = np.zeros((n, n), dtype=np.complex128)
-    m[i - 1, j - 1] = -1.0j
-    m[j - 1, i - 1] = 1.0j
-    return m
-
-
-def diagonal_generator(n, d):
-    """Diagonal generator D(d): d entries 1/s then -d/s, s = sqrt(d(d+1)/2)."""
-    if n < 2:
-        raise ValueError(f"generator dimension must be at least 2, got {n}")
-    if not 1 <= d <= n - 1:
-        raise ValueError(f"diagonal index needs 1 <= d <= n-1, got d={d} for n={n}")
-    scale = 1.0 / np.sqrt(d * (d + 1) / 2.0)
-    m = np.zeros((n, n), dtype=np.complex128)
-    m[range(d), range(d)] = scale
-    m[d, d] = -d * scale
-    return m
+    Returns ``(i, j, k, d, k_diagonal)``: the 0-based pairs ``i < j``, by j
+    and then i, with ``k = j^2 - 1 + 2i`` the 0-based place of S(i+1,j+1)
+    (A(i+1,j+1) is at k + 1), and ``d = 1..n-1`` with D(d) at
+    ``k_diagonal = (d+1)^2 - 2``.
+    """
+    j, i = np.tril_indices(n, -1)  # the pairs i < j, by j and then i
+    d = np.arange(1, n)
+    return i, j, j * j - 1 + 2 * i, d, (d + 1) ** 2 - 2
 
 
 def _triplets(n):
     """Nonzeros of the generators of ``basis(n)``, sorted by generator and
-    row-major within each one.
+    row-major within each one, numbered by :func:`_numbering`.
 
-    The pair generators of ``(i, j)`` (0-based, i < j) are numbered
-    ``j^2 - 1 + 2i`` (S) and one more (A), and ``D(d)`` is ``(d+1)^2 - 2``.
-    Real and imaginary parts are set apart so that ``-1j`` keeps the
-    negative zero real part it has in :func:`antisymmetric_generator`.
+    Real and imaginary parts are set apart so that ``-1j`` keeps its
+    negative zero real part, ``complex(-0.0, -1.0)``.
     """
-    j, i = np.tril_indices(n, -1)  # the pairs i < j, by j and then i
-    k_pair = np.repeat(j * j - 1 + 2 * i, 4) + np.tile([0, 0, 1, 1], i.size)
+    i, j, k_pair, _, k_diagonal = _numbering(n)
+    k_pair = np.repeat(k_pair, 4) + np.tile([0, 0, 1, 1], i.size)
     rows_pair = np.stack((i, j, i, j), axis=1).ravel()
     cols_pair = np.stack((j, i, j, i), axis=1).ravel()
     re_pair = np.tile([1.0, 1.0, -0.0, 0.0], i.size)
@@ -193,7 +169,7 @@ def _triplets(n):
     # lower triangle, whose row 0 is no generator
     d, m = (a[1:] for a in np.tril_indices(n))
     scale = 1.0 / np.sqrt(d * (d + 1) / 2.0)
-    k = np.concatenate((k_pair, (d + 1) ** 2 - 2))
+    k = np.concatenate((k_pair, k_diagonal[d - 1]))
     rows = np.concatenate((rows_pair, m))
     cols = np.concatenate((cols_pair, m))
     order = np.argsort((k * n + rows) * n + cols)

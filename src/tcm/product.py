@@ -98,10 +98,7 @@ def _unrealign(r, p, q):
 
 def extended_labels(n):
     """Axis labels for a coefficient grid: ``I`` then S/A/D notation."""
-    labels = ["I"]
-    if n >= 2:
-        labels.extend(str(label) for label in basis(n).labels)
-    return labels
+    return ["I", *(basis(n).labels if n > 1 else ())]
 
 
 def decompose_product(m, p, q):

@@ -6,7 +6,9 @@ with ``indent=2`` over Python lists, one ``csv.writer.writerow`` per matrix
 entry and one ``print`` per pretty line, each value formatted where it is
 written.  ``write_basis``, ``write_swap`` and ``write_decompose`` take the
 same arguments as ``cli._write_basis``, ``cli._write_swap`` and
-``cli._write_decompose`` and must write the same bytes to ``sys.stdout``.
+``cli._write_decompose`` and must write the same bytes to ``sys.stdout``;
+``write_basis`` reads each generator's kind and indices back from its
+label text, not from the basis's table.
 """
 
 import csv
@@ -15,6 +17,7 @@ import sys
 
 import numpy as np
 
+from loop_reference import label_fields
 from tcm.gellmann import DIAGONAL
 
 
@@ -64,12 +67,13 @@ def write_basis(fmt, b):
     if fmt == "json":
         generators = []
         for ordinal, (label, mat) in enumerate(b, start=1):
-            record = {"ordinal": ordinal, "kind": label.kind}
-            if label.kind == DIAGONAL:
-                record["d"] = label.d
+            kind, i, j, d = label_fields(label)
+            record = {"ordinal": ordinal, "kind": kind}
+            if kind == DIAGONAL:
+                record["d"] = d
             else:
-                record["i"] = label.i
-                record["j"] = label.j
+                record["i"] = i
+                record["j"] = j
             record["matrix"] = _matrix_obj(mat)
             generators.append(record)
         _dump_json({"command": "basis", "n": n, "generators": generators})
@@ -77,14 +81,16 @@ def write_basis(fmt, b):
         writer = csv.writer(sys.stdout)
         writer.writerow(["ordinal", "kind", "i", "j", "d", "row", "col", "re", "im"])
         for ordinal, (label, mat) in enumerate(b, start=1):
-            i = label.i if label.kind != DIAGONAL else ""
-            j = label.j if label.kind != DIAGONAL else ""
-            d = label.d if label.kind == DIAGONAL else ""
+            kind, i, j, d = label_fields(label)
+            if kind == DIAGONAL:
+                i = j = ""
+            else:
+                d = ""
             for r in range(n):
                 for c in range(n):
                     z = mat[r, c]
                     writer.writerow(
-                        [ordinal, label.kind, i, j, d, r + 1, c + 1,
+                        [ordinal, kind, i, j, d, r + 1, c + 1,
                          repr(float(z.real)), repr(float(z.imag))]
                     )
     else:

@@ -11,10 +11,13 @@ product per cell, one Kronecker product per term.
 ``sum_kron_squares_realigned`` keeps the dense realigned product that the
 scatter replaced, and ``sum_kron_squares_nonzero`` the scatter over the
 ``np.nonzero`` of a dense stack that the triplet form replaced, as second
-and third oracles for it.  ``basis_stack`` fills the dense generator stack
-one generator at a time, the way ``basis(n)`` did before it kept
-triplets, and ``basis_labels`` builds the labels the way ``basis(n)`` did
-before they were rendered on first read.  ``extended_stack`` and the
+and third oracles for it.  ``symmetric_generator``,
+``antisymmetric_generator`` and ``diagonal_generator`` build one generator
+each from its definition.  ``basis_stack`` fills the dense generator stack
+from them one generator at a time, the way ``basis(n)`` did before it kept
+triplets, ``basis_labels`` writes the labels in canonical order by a loop
+over the pairs, independently of the library's numbering, and
+``label_fields`` reads a label's kind and indices back from its text.  ``extended_stack`` and the
 ``*_per_call`` functions keep the matrix-product projections as they were
 before their per-size operands were cached: the stack, its conjugate and
 the norm grid rebuilt on every call, as the bitwise oracle for the cached
@@ -24,18 +27,11 @@ walks the swap one column at a time, and ``elementary`` places a single 1
 by its 1-based indices.
 """
 
+import re
+
 import numpy as np
 
-from tcm.gellmann import (
-    ANTISYMMETRIC,
-    DIAGONAL,
-    SYMMETRIC,
-    GeneratorLabel,
-    antisymmetric_generator,
-    basis,
-    diagonal_generator,
-    symmetric_generator,
-)
+from tcm.gellmann import ANTISYMMETRIC, DIAGONAL, SYMMETRIC, basis
 from tcm.matops import hs_inner, identity
 from tcm.product import _realign, _unrealign
 from tcm.swap import SwapMatrix, WalkCheckpointError, _check_dims
@@ -45,6 +41,44 @@ def elementary(n, i, j):
     """n x n matrix with a single 1 at row ``i``, column ``j`` (1-based)."""
     m = np.zeros((n, n), dtype=np.complex128)
     m[i - 1, j - 1] = 1.0
+    return m
+
+
+def _check_pair(n, i, j):
+    if n < 2:
+        raise ValueError(f"generator dimension must be at least 2, got {n}")
+    if not (1 <= i < j <= n):
+        raise ValueError(f"pair indices need 1 <= i < j <= n, got ({i},{j}) for n={n}")
+
+
+def symmetric_generator(n, i, j):
+    """Generator with ones at (i,j) and (j,i), 1 <= i < j <= n."""
+    _check_pair(n, i, j)
+    m = np.zeros((n, n), dtype=np.complex128)
+    m[i - 1, j - 1] = 1.0
+    m[j - 1, i - 1] = 1.0
+    return m
+
+
+def antisymmetric_generator(n, i, j):
+    """Generator with -1j at (i,j) and +1j at (j,i), 1 <= i < j <= n."""
+    _check_pair(n, i, j)
+    m = np.zeros((n, n), dtype=np.complex128)
+    m[i - 1, j - 1] = -1.0j
+    m[j - 1, i - 1] = 1.0j
+    return m
+
+
+def diagonal_generator(n, d):
+    """Diagonal generator D(d): d entries 1/s then -d/s, s = sqrt(d(d+1)/2)."""
+    if n < 2:
+        raise ValueError(f"generator dimension must be at least 2, got {n}")
+    if not 1 <= d <= n - 1:
+        raise ValueError(f"diagonal index needs 1 <= d <= n-1, got d={d} for n={n}")
+    scale = 1.0 / np.sqrt(d * (d + 1) / 2.0)
+    m = np.zeros((n, n), dtype=np.complex128)
+    m[range(d), range(d)] = scale
+    m[d, d] = -d * scale
     return m
 
 
@@ -231,10 +265,23 @@ def basis_labels(n):
     labels = []
     for j in range(2, n + 1):
         for i in range(1, j):
-            labels.append(GeneratorLabel(SYMMETRIC, i=i, j=j))
-            labels.append(GeneratorLabel(ANTISYMMETRIC, i=i, j=j))
-        labels.append(GeneratorLabel(DIAGONAL, d=j - 1))
+            labels.append(f"S({i},{j})")
+            labels.append(f"A({i},{j})")
+        labels.append(f"D({j - 1})")
     return tuple(labels)
+
+
+_LABEL = re.compile(r"([SA])\((\d+),(\d+)\)|D\((\d+)\)")
+_KINDS = {"S": SYMMETRIC, "A": ANTISYMMETRIC}
+
+
+def label_fields(label):
+    """``(kind, i, j, d)`` of the label ``S(i,j)``, ``A(i,j)`` or ``D(d)``,
+    with 0 for the indices it lacks."""
+    letter, i, j, d = _LABEL.fullmatch(label).groups()
+    if d is not None:
+        return DIAGONAL, 0, 0, int(d)
+    return _KINDS[letter], int(i), int(j), 0
 
 
 def closed_form_lhs(n):

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from loop_reference import basis_labels, label_fields
 from tcm import cli, product
-from tcm.gellmann import GeneratorLabel, basis
+from tcm.gellmann import DIAGONAL, basis
 from tcm.product import decompose_product
 from tcm.swap import WalkCheckpointError, swap_by_formula
 
@@ -76,6 +77,34 @@ def matrix_from_obj(obj):
     return data.reshape(obj["rows"], obj["cols"])
 
 
+def assert_basis_csv_round_trips(n):
+    """``tcm basis --n n --format csv`` rebuilds ``basis(n)`` bit for bit,
+    and each generator's rows carry the kind and indices of its label in
+    the loop oracle.  Streamed: rows of a zero entry are counted, not
+    parsed; every generator has a nonzero, so each one's fields are read."""
+    cmd = [sys.executable, "-m", "tcm", "basis", "--n", str(n), "--format", "csv"]
+    rebuilt = np.zeros((n * n - 1, n, n), dtype=complex)
+    fields, count = {}, 0
+    with subprocess.Popen(cmd, stdout=subprocess.PIPE) as proc:
+        lines = io.TextIOWrapper(proc.stdout, encoding="utf-8", newline="")
+        assert next(lines) == "ordinal,kind,i,j,d,row,col,re,im\r\n"
+        for line in lines:
+            count += 1
+            if line.endswith(",0.0,0.0\r\n"):
+                continue
+            ordinal, kind, i, j, d, r, c, re, im = next(csv.reader([line]))
+            k = int(ordinal) - 1
+            rebuilt[k, int(r) - 1, int(c) - 1] = complex(float(re), float(im))
+            assert fields.setdefault(k, (kind, i, j, d)) == (kind, i, j, d)
+    assert proc.returncode == 0
+    assert count == (n * n - 1) * n * n
+    expected = [label_fields(label) for label in basis_labels(n)]
+    assert [fields[k] for k in range(n * n - 1)] == [
+        (kind, *(str(v) if v else "" for v in ijd)) for kind, *ijd in expected
+    ]
+    assert rebuilt.tobytes() == basis(n).matrices.tobytes()
+
+
 class TestBasisCommand:
     def test_json_matches_library_exactly(self):
         result = run_cli("basis", "--n", "3", "--format", "json")
@@ -84,7 +113,9 @@ class TestBasisCommand:
         jsonschema.validate(payload, load_schema("basis"))
         assert [g["ordinal"] for g in payload["generators"]] == list(range(1, 9))
         for record, (label, mat) in zip(payload["generators"], basis(3)):
-            assert record["kind"] == label.kind
+            kind, i, j, d = label_fields(label)
+            indices = {"d": d} if kind == DIAGONAL else {"i": i, "j": j}
+            assert record == {"ordinal": record["ordinal"], "kind": kind, **indices, "matrix": record["matrix"]}
             # shortest-round-trip float formatting: bit-for-bit recovery
             np.testing.assert_array_equal(matrix_from_obj(record["matrix"]), mat)
 
@@ -95,17 +126,9 @@ class TestBasisCommand:
             assert header in result.stdout
 
     def test_csv_round_trips(self):
-        result = run_cli("basis", "--n", "2", "--format", "csv")
-        assert result.returncode == 0
-        rows = list(csv.DictReader(io.StringIO(result.stdout)))
-        assert len(rows) == 3 * 4
-        rebuilt = np.zeros((3, 2, 2), dtype=complex)
-        for row in rows:
-            k = int(row["ordinal"]) - 1
-            r, c = int(row["row"]) - 1, int(row["col"]) - 1
-            rebuilt[k, r, c] = complex(float(row["re"]), float(row["im"]))
-        for k, mat in enumerate(basis(2).matrices):
-            np.testing.assert_array_equal(rebuilt[k], mat)
+        # n = 40 checks kind, i, j and d past the sizes in tests/golden/
+        for n in (2, 40):
+            assert_basis_csv_round_trips(n)
 
     def test_n_below_two_exits_2_with_no_output(self):
         result = run_cli("basis", "--n", "1")
@@ -297,16 +320,12 @@ class TestVerifyCommand:
         assert captured.err.count("\n") == 1
         assert "--n-max must be at most 64" in captured.err
 
-    def test_reads_no_label_and_renders_no_stack(self, monkeypatch, capsys):
+    def test_reads_no_label_and_renders_no_stack(self, capsys):
         # the checks need only each basis's triplets
-        def refuse(label):
-            raise AssertionError("verify built a generator label")
-
-        monkeypatch.setattr(GeneratorLabel, "__post_init__", refuse)
         basis.cache_clear()
         assert cli.main(["verify", "--n-max", "5"]) == 0
         for n in range(2, 6):
-            assert {"labels", "stack"}.isdisjoint(vars(basis(n))), n
+            assert {"table", "labels", "stack"}.isdisjoint(vars(basis(n))), n
 
     def test_peak_memory_stays_below_a_quarter_of_one_n4_array(self, capsys):
         # the triplets of every n stay cached; no n^4-entry array is built
@@ -416,6 +435,61 @@ def test_workload_output_digest(digest, args, capsys):
     out, err = capsys.readouterr()
     assert err == ""
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# every function through which a command builds its arrays
+BUILDERS = ["basis", "swap_by_formula", "swap_by_rule", "decompose_product", "_load_matrix_file"]
+
+
+class TestSizeGate:
+    @pytest.mark.parametrize("args", [
+        "swap --p 1000000 --q 1000000",
+        "swap --p 100000 --q 100000 --dense",
+        "basis --n 100000",
+        "decompose --p 1000 --q 1000",
+        "swap --p 4611686018427387904 --q 4",
+        "swap --p 4097 --q 1 --dense --method both --format json",
+        "swap --p 33554433 --q 1 --method rule",
+        "basis --n 65 --format csv",
+        "decompose --p 2 --q 65 --input no-such-file.json",
+    ])
+    def test_oversize_request_exits_2_before_building(self, args, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("a command built an array past the size gate")
+
+        for name in BUILDERS:
+            monkeypatch.setattr(cli, name, never)
+        assert cli.main(args.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("tcm: error: ")
+        assert captured.err.endswith(", over the 256 MiB limit\n")
+
+    @pytest.mark.parametrize("args", [
+        "swap --p 4096 --q 1 --dense",
+        "swap --p 1 --q 33554432",
+        "basis --n 64",
+        "decompose --p 64 --q 3",
+    ])
+    def test_largest_request_at_the_limit_is_admitted(self, args, monkeypatch, capsys):
+        class Admitted(Exception):
+            pass
+
+        def admitted(*args, **kwargs):
+            raise Admitted
+
+        for name in BUILDERS:
+            monkeypatch.setattr(cli, name, admitted)
+        with pytest.raises(Admitted):
+            cli.main(args.split())
+        assert capsys.readouterr().err == ""
+
+    def test_oversize_swap_exits_2_in_a_subprocess(self):
+        result = run_cli("swap", "--p", "1000000", "--q", "1000000")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == "tcm: error: the 1000000000000-entry swap permutation would take 7.276 TiB, over the 256 MiB limit\n"
 
 
 class TestUsage:

@@ -4,19 +4,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import loop_reference as loops
-from loop_reference import elementary
+from loop_reference import (
+    antisymmetric_generator,
+    diagonal_generator,
+    elementary,
+    label_fields,
+    symmetric_generator,
+)
 from tcm.gellmann import (
     ANTISYMMETRIC,
     DIAGONAL,
+    SYMMETRIC,
     BasisCoefficients,
-    GeneratorLabel,
-    antisymmetric_generator,
     basis,
-    diagonal_generator,
     expand_in_basis,
     projection_operands,
     reconstruct,
-    symmetric_generator,
 )
 from tcm.matops import identity, max_abs_diff
 from tcm.product import decompose_product
@@ -103,10 +106,16 @@ class TestBasis:
             assert max_abs_diff(got, expected) <= 1e-15
 
     def test_labels_n3(self):
-        assert [str(l) for l in basis(3).labels] == [
+        b = basis(3)
+        assert b.labels == (
             "S(1,2)", "A(1,2)", "D(1)",
             "S(1,3)", "A(1,3)", "S(2,3)", "A(2,3)", "D(2)",
-        ]
+        )
+        kind, i, j, d = b.table
+        assert kind.tolist() == [SYMMETRIC, ANTISYMMETRIC, DIAGONAL] + [SYMMETRIC, ANTISYMMETRIC] * 2 + [DIAGONAL]
+        assert i.tolist() == [1, 1, 0, 1, 1, 2, 2, 0]
+        assert j.tolist() == [2, 2, 0, 3, 3, 3, 3, 0]
+        assert d.tolist() == [0, 0, 1, 0, 0, 0, 0, 2]
 
     def test_count(self):
         assert len(basis(5)) == 24
@@ -143,10 +152,11 @@ class TestBasis:
 
 
 def generator(n, label):
-    if label.kind == DIAGONAL:
-        return diagonal_generator(n, label.d)
-    make = antisymmetric_generator if label.kind == ANTISYMMETRIC else symmetric_generator
-    return make(n, label.i, label.j)
+    kind, i, j, d = label_fields(label)
+    if kind == DIAGONAL:
+        return diagonal_generator(n, d)
+    make = antisymmetric_generator if kind == ANTISYMMETRIC else symmetric_generator
+    return make(n, i, j)
 
 
 def assert_triplets_are_the_generators(n):
@@ -165,6 +175,15 @@ def assert_triplets_are_the_generators(n):
         assert value[at].tobytes() == expected[rows, cols].tobytes(), label
 
 
+def assert_table_and_labels_are_the_loop(n):
+    b = basis(n)
+    labels = loops.basis_labels(n)
+    assert b.labels == labels
+    assert all(type(label) is str for label in b.labels)
+    assert all(a.shape == (len(b),) and not a.flags.writeable for a in b.table)
+    assert list(zip(*(a.tolist() for a in b.table))) == [label_fields(label) for label in labels]
+
+
 class TestTriplets:
     @pytest.mark.parametrize("n", range(2, 13))
     def test_equal_the_generator_functions_bitwise(self, n):
@@ -175,26 +194,23 @@ class TestTriplets:
     def test_equal_the_generator_functions_bitwise_at_random_n(self, n):
         assert_triplets_are_the_generators(n)
 
-    def test_builds_no_label_until_labels_is_read(self, monkeypatch):
-        built = []
-        real = GeneratorLabel.__post_init__
-
-        def counted(label):
-            built.append(label)
-            real(label)
-
-        monkeypatch.setattr(GeneratorLabel, "__post_init__", counted)
+    def test_builds_no_label_until_labels_is_read(self):
         basis.cache_clear()
         b = basis(5)
         assert len(b) == 24
-        assert built == [] and "labels" not in vars(b)
+        assert {"table", "labels"}.isdisjoint(vars(b))
         assert len(b.labels) == 24
-        assert len(built) == 24
         assert b.labels is b.labels
+        assert b.table is b.table
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_lazy_labels_equal_the_eager_loop(self, n):
-        assert basis(n).labels == loops.basis_labels(n)
+        assert_table_and_labels_are_the_loop(n)
+
+    @settings(max_examples=15, deadline=None)
+    @given(n=st.integers(2, 40))
+    def test_lazy_labels_equal_the_eager_loop_at_random_n(self, n):
+        assert_table_and_labels_are_the_loop(n)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 13])
     def test_lazy_stack_equals_the_eager_loop_bitwise(self, n):
@@ -337,18 +353,3 @@ class TestReconstruct:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             reconstruct(BasisCoefficients(n=3, c0=0.0, c=np.zeros(5)))
-
-
-class TestGeneratorLabel:
-    def test_str_forms(self):
-        assert str(GeneratorLabel("symmetric", i=1, j=2)) == "S(1,2)"
-        assert str(GeneratorLabel("antisymmetric", i=2, j=5)) == "A(2,5)"
-        assert str(GeneratorLabel("diagonal", d=3)) == "D(3)"
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            GeneratorLabel("symmetric", i=2, j=2)
-        with pytest.raises(ValueError):
-            GeneratorLabel("diagonal", d=0)
-        with pytest.raises(ValueError):
-            GeneratorLabel("spiral", i=1, j=2)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from loop_reference import elementary
+from loop_reference import diagonal_generator, elementary, symmetric_generator
 from tcm import product
-from tcm.gellmann import basis, diagonal_generator, symmetric_generator
+from tcm.gellmann import basis
 from tcm.matops import as_matrix, hs_inner, identity, max_abs_diff
 from tcm.product import decompose_product
 
