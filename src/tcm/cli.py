@@ -449,7 +449,9 @@ def cmd_decompose(args):
                 f"matrix file {args.input!r} is {m.shape[0]} x {m.shape[1]}, "
                 f"expected {p * q} x {p * q}"
             )
-    grid = decompose_product(m, p, q).grid
+    # the sign of a zero part depends on the order of the arithmetic;
+    # + 0.0 makes each -0.0 a 0.0, so none is printed
+    grid = decompose_product(m, p, q).grid + 0.0
     _write_decompose(args.format, p, q, args.input, args.threshold, grid, extended_labels(p), extended_labels(q))
     return EXIT_OK
 

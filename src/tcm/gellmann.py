@@ -23,10 +23,14 @@ generator its place in the canonical order; the triplets and the
 string labels (``"S(1,2)"``, ...) rendered from it and the dense
 (n^2, n, n) stack are built only when a consumer first reads them.
 
-Projections over ``{identity} + basis(n)``, here and in the product layer,
-read the per-n constants of :func:`projection_operands`: the stack as
-(n^2, n^2), its conjugate and the squared norms, built once per n and
-read-only, so a call does no more than its matrix products.
+Projections over ``{identity} + basis(n)`` read per-n constants, built
+once per n and read-only, so a call does no more than its matrix
+products.  :func:`expand_in_basis` and :func:`reconstruct` read
+:func:`projection_operands`: the stack as (n^2, n^2), its conjugate and
+the squared norms.  The product layer reads :func:`real_operands`: every
+element is real (the identity, S, D) or purely imaginary (A), so the
+stack is ``phase[:, None] * real`` with a real (n^2, n^2) matrix, built
+from the triplets without the stack, and phases 1 or 1j.
 """
 
 from dataclasses import dataclass
@@ -225,6 +229,66 @@ def projection_operands(n):
     norms = np.full(n * n, 2.0, dtype=np.complex128)
     norms[0] = n
     operands = ProjectionOperands(stack, stack.conj(), norms)
+    for a in operands:
+        a.setflags(write=False)
+    return operands
+
+
+class RealOperands(NamedTuple):
+    """``{identity} + basis(n)`` split into a real matrix and phases, for one n.
+
+    Every element is real (the identity, S(i,j), D(d)) or purely imaginary
+    (A(i,j)), so row k of the (n^2, n^2) stack is ``phase[k] * real[k]``:
+    ``real`` is float64, and ``phase`` is 1, or 1j for A(i,j), whose real
+    row holds -1 at (i,j) and +1 at (j,i).  ``weights`` is
+    ``conj(phase) / norms``, the factor that turns ``real`` products into
+    projections.  ``phase`` and ``weights`` are complex128.  All three are
+    read-only.
+    """
+
+    real: np.ndarray
+    phase: np.ndarray
+    weights: np.ndarray
+
+
+def _imaginary(triplets, n):
+    """Which of the n^2 - 1 generators listed by ``triplets`` are purely
+    imaginary, as a boolean array; the others are real.
+
+    Raises ValueError if a generator is neither: an entry with a real and
+    an imaginary part, or real entries next to imaginary ones.
+    """
+    k, value = triplets.k, triplets.value
+    size = n * n - 1
+    has_real = np.bincount(k, weights=value.real != 0, minlength=size) > 0
+    has_imag = np.bincount(k, weights=value.imag != 0, minlength=size) > 0
+    if np.any(has_real & has_imag):
+        raise ValueError(f"a generator of dimension {n} is neither real nor purely imaginary")
+    return has_imag
+
+
+@lru_cache(maxsize=None)
+def real_operands(n):
+    """The cached :class:`RealOperands` of dimension ``n >= 1``.
+
+    Built from ``basis(n).triplets``, so the dense stack is never rendered.
+    Dimension 1 has no generators: ``real`` is ``[[1.0]]``.  Each n keeps
+    one (n^2, n^2) float64 array, 8 MB at n = 32.
+    """
+    if n < 1:
+        raise ValueError(f"projection dimension must be positive, got {n}")
+    real = np.zeros((n * n, n * n))
+    real[0, :: n + 1] = 1.0
+    phase = np.ones(n * n, dtype=np.complex128)
+    if n > 1:
+        triplets = basis(n).triplets
+        k, i, j, value = triplets
+        imaginary = _imaginary(triplets, n)
+        real[k + 1, i * n + j] = np.where(imaginary[k], value.imag, value.real)
+        phase[1:][imaginary] = 1j
+    norms = np.full(n * n, 2.0)
+    norms[0] = n
+    operands = RealOperands(real, phase, phase.conj() / norms)
     for a in operands:
         a.setflags(write=False)
     return operands

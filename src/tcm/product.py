@@ -15,10 +15,18 @@ products").  Writing composite indices as ``(i1, i2)``, the realignment
 maps ``kron(A_a, B_b)`` to the rank-one ``outer(vec(A_a), vec(B_b))``, so
 with A, B the stacks of vectorized factor bases the projection is
 ``grid = conj(A) @ R(m) @ conj(B).T / outer(norms_p, norms_q)`` and the
-reconstruction is ``R^-1(A.T @ grid @ B)``.  A, conj(A) and the norms are
-the cached, read-only :func:`~tcm.gellmann.projection_operands` of each
-factor size, so a call is the realignment, two matrix products and one
-division in place; nothing is cached per (p, q) pair.
+reconstruction is ``R^-1(A.T @ grid @ B)``.  Every row of A is real or
+purely imaginary, ``A = phase[:, None] * Q`` with Q real
+(:func:`~tcm.gellmann.real_operands`), so the products run in real
+arithmetic: ``grid = w_p[:, None] * (Q_p @ R(m) @ Q_q.T) * w_q`` with the
+weights ``w = conj(phase) / norms``, and the reconstruction applies the
+phases to the grid, then ``Q_p.T`` and ``Q_q``.  Each product is one
+float64 product on the interleaved real and imaginary parts of a complex
+array, half the work of a complex product with real factors, and there
+is no p^2 x q^2 norm grid and no complex division.  The realigned input
+is copied once, transposed, into a buffer that also takes the inner
+product's transpose.  The operands are cached, read-only, per factor
+size; nothing is cached per (p, q) pair.
 
 For equal factors the swap matrix has the closed-form expansion
 
@@ -50,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matops import DEFAULT_ABS_EPS, as_matrix, identity
-from .gellmann import Triplets, basis, projection_operands
+from .gellmann import Triplets, basis, real_operands
 
 
 @dataclass(frozen=True)
@@ -86,42 +94,64 @@ class ClosedFormReport:
     passed: bool
 
 
-def _realign(m, p, q):
-    """``R(m)``: the (p^2, q^2) rearrangement of a pq x pq matrix."""
-    return m.reshape(p, q, p, q).transpose(0, 2, 1, 3).reshape(p * p, q * q)
-
-
-def _unrealign(r, p, q):
-    """Inverse of :func:`_realign`."""
-    return r.reshape(p, p, q, q).transpose(0, 2, 1, 3).reshape(p * q, p * q)
-
-
 def extended_labels(n):
     """Axis labels for a coefficient grid: ``I`` then S/A/D notation."""
     return ["I", *(basis(n).labels if n > 1 else ())]
+
+
+def _real_products(first, second, buffer):
+    """``second @ (first @ buffer).T`` for float64 ``first`` and ``second``
+    and an owned, C-contiguous complex128 ``buffer``.
+
+    Each product is one float64 product on the interleaved real and
+    imaginary parts of its complex operand.  The transpose in between is
+    written into ``buffer``, so at most one more array of its size is live
+    next to it.
+    """
+    inner = buffer.reshape(buffer.shape[::-1])
+    inner[...] = (first @ buffer.view(np.float64)).view(np.complex128).T
+    return (second @ inner.view(np.float64)).view(np.complex128)
 
 
 def decompose_product(m, p, q):
     """Project ``m`` onto the product basis of dimensions p and q.
 
     Cell (a, b) is ``hs_inner(kron(A_a, B_b), m)`` divided by the product
-    of the factors' squared norms; the whole grid comes from two matrix
-    products on the realigned ``m``.
+    of the factors' squared norms.  With ``A_a = phase_a Q_a`` that is
+    ``w_a (Q_p R(m) Q_q^T)[a, b] w_b`` with the weights
+    ``w = conj(phase) / norms``: two float64 products on one copy of
+    ``R(m)^T``, then both factors' weights in place.
     """
     m = as_matrix(m)
     if m.shape != (p * q, p * q):
         raise ValueError(f"matrix shape {m.shape} does not match p*q = {p * q}")
-    a, b = projection_operands(p), projection_operands(q)
-    grid = a.conj @ _realign(m, p, q) @ b.conj.T
-    grid /= np.multiply.outer(a.norms, b.norms)
+    a, b = real_operands(p), real_operands(q)
+    # R(m)^T[(i2, j2), (i1, j1)] = m[(i1, i2), (j1, j2)], copied, as the
+    # products overwrite it and at p = 1 or q = 1 the transpose alone is a
+    # view of m; passed unnamed, it is freed before the grid is copied
+    rt = m.reshape(p, q, p, q).transpose(1, 3, 0, 2)
+    grid = _real_products(b.real, a.real, rt.copy().reshape(q * q, p * p))
+    grid *= a.weights[:, None]
+    grid *= b.weights
     return ProductCoefficients(p=p, q=q, grid=grid)
 
 
 def reconstruct_product(coeffs):
-    """Evaluate ``sum_ab grid[a, b] * kron(A_a, B_b)``."""
+    """Evaluate ``sum_ab grid[a, b] * kron(A_a, B_b)``.
+
+    With ``A_a = phase_a Q_a`` that is ``R^-1(Q_p^T (phase_a phase_b
+    grid[a, b]) Q_q)``: a copy of the grid times both factors' phases, then
+    two float64 products, which give ``R(m)^T``, unrealigned into that
+    copy.
+    """
     p, q = coeffs.p, coeffs.q
-    a, b = projection_operands(p).stack, projection_operands(q).stack
-    return _unrealign(a.T @ coeffs.grid @ b, p, q)
+    a, b = real_operands(p), real_operands(q)
+    buffer = coeffs.grid * a.phase[:, None]
+    buffer *= b.phase
+    rt = _real_products(a.real.T, b.real.T, buffer)
+    m = buffer.reshape(p * q, p * q)
+    m.reshape(p, q, p, q)[...] = rt.reshape(q, q, p, p).transpose(2, 0, 3, 1)
+    return m
 
 
 def closed_form_swap_coefficients(n):

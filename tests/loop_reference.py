@@ -17,12 +17,18 @@ each from its definition.  ``basis_stack`` fills the dense generator stack
 from them one generator at a time, the way ``basis(n)`` did before it kept
 triplets, ``basis_labels`` writes the labels in canonical order by a loop
 over the pairs, independently of the library's numbering, and
-``label_fields`` reads a label's kind and indices back from its text.  ``extended_stack`` and the
-``*_per_call`` functions keep the matrix-product projections as they were
-before their per-size operands were cached: the stack, its conjugate and
-the norm grid rebuilt on every call, as the bitwise oracle for the cached
-form.  ``one_positions``
-sorts the (row, col) pairs of a swap as Python tuples, ``swap_by_rule_walk``
+``label_fields`` reads a label's kind and indices back from its text.
+``realign`` and ``unrealign`` are the Van Loan-Pitsianis rearrangement
+``R(m)[(i1, j1), (i2, j2)] = m[(i1, i2), (j1, j2)]`` and its inverse.
+``extended_stack`` and the ``*_per_call`` functions keep the
+matrix-product projections as they were before their per-size operands
+were cached: the stack, its conjugate and the norm grid rebuilt on every
+call, as the bitwise oracle for the cached expansion and as the complex
+form that the real product projection must stay within 1e-14 of.
+``real_stack`` splits the stack into a real matrix and phases, and the
+``*_real_per_call`` functions rebuild that split on every call, as the
+bitwise oracle for the real product projection.  ``one_positions`` sorts
+the (row, col) pairs of a swap as Python tuples, ``swap_by_rule_walk``
 walks the swap one column at a time, and ``elementary`` places a single 1
 by its 1-based indices.
 """
@@ -33,7 +39,6 @@ import numpy as np
 
 from tcm.gellmann import ANTISYMMETRIC, DIAGONAL, SYMMETRIC, basis
 from tcm.matops import hs_inner, identity
-from tcm.product import _realign, _unrealign
 from tcm.swap import SwapMatrix, WalkCheckpointError, _check_dims
 
 
@@ -114,6 +119,17 @@ def product_sum(grid, p, q):
     return out
 
 
+def realign(m, p, q):
+    """``R(m)``: the (p^2, q^2) rearrangement of a pq x pq matrix,
+    ``R(m)[(i1, j1), (i2, j2)] = m[(i1, i2), (j1, j2)]``."""
+    return m.reshape(p, q, p, q).transpose(0, 2, 1, 3).reshape(p * p, q * q)
+
+
+def unrealign(r, p, q):
+    """Inverse of :func:`realign`."""
+    return r.reshape(p, p, q, q).transpose(0, 2, 1, 3).reshape(p * q, p * q)
+
+
 def extended_stack(n):
     """``{identity} + basis(n)`` viewed as (n^2, n^2) and fresh float squared
     norms, ``[[1]]`` and ``[1]`` at n = 1."""
@@ -128,7 +144,7 @@ def decompose_per_call(m, p, q):
     norm grid on every call."""
     a_stack, a_norms = extended_stack(p)
     b_stack, b_norms = extended_stack(q)
-    grid = a_stack.conj() @ _realign(m, p, q) @ b_stack.conj().T
+    grid = a_stack.conj() @ realign(m, p, q) @ b_stack.conj().T
     return grid / np.outer(a_norms, b_norms)
 
 
@@ -136,7 +152,48 @@ def reconstruct_product_per_call(grid, p, q):
     """``sum_ab grid[a, b] * kron(A_a, B_b)`` from per-call stacks."""
     a_stack, _ = extended_stack(p)
     b_stack, _ = extended_stack(q)
-    return _unrealign(a_stack.T @ grid @ b_stack, p, q)
+    return unrealign(a_stack.T @ grid @ b_stack, p, q)
+
+
+def real_stack(n):
+    """``{identity} + basis(n)`` split as ``phase[:, None] * real``, rebuilt
+    from the single-generator functions: a matrix with an imaginary entry
+    gives its imaginary part and phase 1j, any other its real part and
+    phase 1.  Returns ``(real, phase, norms)``, the norms as floats."""
+    stack = basis_stack(n).reshape(n * n, n * n)
+    imaginary = np.any(stack.imag != 0, axis=1)
+    norms = np.full(n * n, 2.0)
+    norms[0] = n
+    return np.where(imaginary[:, None], stack.imag, stack.real), np.where(imaginary, 1j, 1.0 + 0j), norms
+
+
+def _real_times(real, x):
+    """``real @ x`` as one float64 product on the parts of complex ``x``."""
+    return (real @ np.ascontiguousarray(x).view(np.float64)).view(np.complex128)
+
+
+def decompose_real_per_call(m, p, q):
+    """The product grid of ``m`` in real arithmetic, from real stacks built
+    on every call: ``Q_q`` on ``R(m)^T``, ``Q_p`` on the transpose of that,
+    then the weights ``conj(phase) / norms`` of p and of q."""
+    a_real, a_phase, a_norms = real_stack(p)
+    b_real, b_phase, b_norms = real_stack(q)
+    grid = _real_times(a_real, _real_times(b_real, realign(m, p, q).T).T)
+    grid *= (a_phase.conj() / a_norms)[:, None]
+    grid *= b_phase.conj() / b_norms
+    return grid
+
+
+def reconstruct_product_real_per_call(grid, p, q):
+    """``sum_ab grid[a, b] * kron(A_a, B_b)`` in real arithmetic, from real
+    stacks built on every call: the grid times the phases of p and of q,
+    ``Q_p^T`` on it, then ``Q_q^T`` on the transpose of that, which is
+    ``R(m)^T``."""
+    a_real, a_phase, _ = real_stack(p)
+    b_real, b_phase, _ = real_stack(q)
+    phased = grid * a_phase[:, None]
+    phased *= b_phase
+    return unrealign(_real_times(b_real.T, _real_times(a_real.T, phased).T).T, p, q)
 
 
 def expand_per_call(m):
@@ -223,7 +280,7 @@ def sum_kron_squares_realigned(matrices, n):
     realigned back.
     """
     v = np.reshape(matrices, (len(matrices), n * n))
-    return (v.T @ v).reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    return unrealign(v.T @ v, n, n)
 
 
 def sum_kron_squares_nonzero(matrices, n):

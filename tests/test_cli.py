@@ -2,6 +2,8 @@ import csv
 import hashlib
 import io
 import json
+import math
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -201,6 +203,20 @@ class TestDecomposeCommand:
         for lab in ("S(1,2)", "A(1,2)", "D(1)"):
             assert abs(entries[(lab, lab)] - 0.5) <= 1e-12
 
+    @pytest.mark.parametrize("p", range(1, 9))
+    def test_no_field_prints_a_negative_zero(self, p, capsys):
+        # the real products leave -0.0 in zero parts of the swap's cells
+        for q in range(1, 9):
+            for threshold in ("1e-12", "0"):
+                args = ["decompose", "--p", str(p), "--q", str(q), "--threshold", threshold, "--format"]
+                assert cli.main([*args, "csv"]) == 0
+                rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+                assert "-0.0" not in {field for row in rows[1:] for field in row[4:]}, (q, threshold)
+                assert cli.main([*args, "json"]) == 0
+                entries = json.loads(capsys.readouterr().out)["entries"]
+                values = [v for e in entries for v in e["value"]]
+                assert not any(v == 0 and math.copysign(1.0, v) < 0 for v in values), (q, threshold)
+
     def test_swap_3x3_pretty(self):
         result = run_cli("decompose", "--p", "3", "--q", "3")
         assert result.returncode == 0
@@ -378,6 +394,23 @@ class TestVerifyCommand:
         env = dict(os.environ, TCM_TOLERANCE="banana")
         result = run_cli("verify", "--n-max", "3", env=env)
         assert result.returncode == 2
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+@pytest.mark.parametrize(
+    "args",
+    [["basis", "--n", "64", "--format", "csv"], ["swap", "--p", "64", "--q", "64", "--dense"]],
+    ids=["basis", "swap --dense"],
+)
+def test_a_reader_that_closes_early_ends_tcm_by_sigpipe(args):
+    # as `tcm ARGS | head -c 100` does: no traceback, and the status of cat
+    cmd = [sys.executable, "-m", "tcm", *args]
+    with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == -signal.SIGPIPE
+    assert err == b""
 
 
 # (arguments, schema) of in-process JSON requests at random small sizes

@@ -16,9 +16,12 @@ from tcm.gellmann import (
     DIAGONAL,
     SYMMETRIC,
     BasisCoefficients,
+    Triplets,
+    _imaginary,
     basis,
     expand_in_basis,
     projection_operands,
+    real_operands,
     reconstruct,
 )
 from tcm.matops import identity, max_abs_diff
@@ -269,8 +272,17 @@ class TestStack:
             lambda: projection_operands(-2),
             lambda: expand_in_basis(np.zeros((0, 0))),
             lambda: decompose_product(np.zeros((0, 0)), 0, 3),
+            lambda: real_operands(0),
+            lambda: real_operands(-2),
         ],
-        ids=["projection_operands(0)", "projection_operands(-2)", "expand_in_basis(0x0)", "decompose_product(0x0, 0, 3)"],
+        ids=[
+            "projection_operands(0)",
+            "projection_operands(-2)",
+            "expand_in_basis(0x0)",
+            "decompose_product(0x0, 0, 3)",
+            "real_operands(0)",
+            "real_operands(-2)",
+        ],
     )
     def test_dimension_below_one_raises_value_error(self, call):
         with pytest.raises(ValueError):
@@ -289,6 +301,61 @@ class TestStack:
         assert projection_operands(n).norms.tolist() == [n] + [2.0] * (n * n - 1)
         m = np.arange(n * n, dtype=np.complex128).reshape(n, n)
         assert max_abs_diff(reconstruct(expand_in_basis(m)), m) <= 1e-12
+
+
+class TestRealOperands:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13])
+    def test_equal_the_split_of_the_generator_functions_bitwise(self, n):
+        real, phase, weights = real_operands(n)
+        expected_real, expected_phase, norms = loops.real_stack(n)
+        assert real.dtype == np.float64 and real.shape == (n * n, n * n)
+        assert real.tobytes() == expected_real.tobytes()
+        assert phase.tobytes() == expected_phase.tobytes()
+        assert weights.tobytes() == (expected_phase.conj() / norms).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7])
+    def test_phases_times_real_rows_are_the_stack(self, n):
+        real, phase, _ = real_operands(n)
+        product = phase[:, None] * real
+        assert product.tobytes() == basis(n).stack.reshape(n * n, n * n).tobytes()
+
+    def test_antisymmetric_rows_are_imaginary_with_minus_one_above_the_diagonal(self):
+        # A(1,2) is row 2 of {I} + basis(2): -1j at (1,2), +1j at (2,1)
+        real, phase, weights = real_operands(2)
+        assert phase.tolist() == [1, 1, 1j, 1]
+        assert real[2].tolist() == [0.0, -1.0, 1.0, 0.0]
+        assert weights.tolist() == [0.5, 0.5, -0.5j, 0.5]
+
+    def test_one_dimensional_operands(self):
+        real, phase, weights = real_operands(1)
+        assert real.tolist() == [[1.0]]
+        assert phase.tolist() == weights.tolist() == [1]
+
+    def test_built_from_the_triplets_without_the_stack(self):
+        basis.cache_clear()
+        real_operands.cache_clear()
+        real_operands(6)
+        assert "stack" not in vars(basis(6))
+        assert real_operands(6) is real_operands(6)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_refuse_writes(self, n):
+        for name, a in real_operands(n)._asdict().items():
+            assert not a.flags.writeable, name
+            with pytest.raises(ValueError):
+                a[0] = 7.0
+
+    @pytest.mark.parametrize("value", [1 + 1j, 1j], ids=["one complex entry", "real and imaginary entries"])
+    def test_a_generator_neither_real_nor_imaginary_raises_value_error(self, value):
+        # generator 0 of a made-up dimension-2 basis: 1 at (1,1), value at (2,2)
+        triplets = Triplets(
+            np.array([0, 0, 1, 2]),
+            np.array([0, 1, 0, 0]),
+            np.array([0, 1, 1, 1]),
+            np.array([1, value, 1, 1], dtype=np.complex128),
+        )
+        with pytest.raises(ValueError, match="neither real nor purely imaginary"):
+            _imaginary(triplets, 2)
 
 
 class TestExpand:
