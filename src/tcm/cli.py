@@ -259,15 +259,19 @@ def _write_swap(fmt, u, method, methods_agree, dense):
     """Write the swap ``u`` built by ``method`` in ``fmt``; ``methods_agree``
     is None unless both methods ran, ``dense`` adds the whole matrix."""
     p, q, size = u.p, u.q, u.size
-    # the 1 of row k + 1 sits in column cols[k] + 1
-    cols = u.one_positions()[:, 1] - 1
-    nums = _objects(map(str, range(1, size + 1)))
+    # the 1 of row k + 1 sits in column cols[k]
+    cols = u.one_positions()[:, 1]
     m = u.dense() if dense else None
     out = sys.stdout
+
+    def ones(a, b):
+        """The (row, col) pairs of the ones of rows a + 1..b: each chunk
+        formats its own, so no text is held for the whole swap."""
+        return zip(range(a + 1, b + 1), cols[a:b].tolist())
+
     if fmt == "json":
-        first, second = "[\n      " + nums + ",\n      ", nums + "\n    ]"
         payload = {"command": "swap", "p": p, "q": q, "method": method, "size": size, "positions": _LIST}
-        lists = [(2, size, lambda a, b: [first[a:b], second[cols[a:b]]])]
+        lists = [(2, size, lambda a, b: [_objects(f"[\n      {r},\n      {c}\n    ]" for r, c in ones(a, b))])]
         if methods_agree is not None:
             payload["methods_agree"] = methods_agree
         if dense:
@@ -275,18 +279,17 @@ def _write_swap(fmt, u, method, methods_agree, dense):
             lists.append(_json_entries(m, 3))
         _write_json(payload, lists)
     elif fmt == "csv":
-        fields = nums + ","
         if dense:
             out.write(_csv_row(["row", "col", "re", "im"]) + "\r\n")
+            # the gate keeps a dense size at most 4096, so its columns are few
+            fields = _objects(f"{c}," for c in range(1, size + 1))
             _write_records(size, size, lambda a, b: [fields[a:b, None], fields, _texts(m[a:b], _csv_pair)])
         else:
             out.write(_csv_row(["row", "col"]) + "\r\n")
-            ends = nums + "\r\n"
-            _write_records(size, 1, lambda a, b: [fields[a:b], ends[cols[a:b]]])
+            _write_records(size, 1, lambda a, b: [_objects(f"{r},{c}\r\n" for r, c in ones(a, b))])
     else:
         out.write(f"swap {p} (x) {q}: {size} x {size} permutation matrix\nones at (row, col): ")
-        first, second = "(" + nums + ",", nums + ")"
-        _write_records(size, 1, lambda a, b: [first[a:b], second[cols[a:b]]], lead=", ")
+        _write_records(size, 1, lambda a, b: [_objects(f"({r},{c})" for r, c in ones(a, b))], lead=", ")
         out.write("\n")
         if methods_agree is not None:
             out.write("rule and formula constructions agree\n")
@@ -439,7 +442,10 @@ def cmd_decompose(args):
     if not np.isfinite(args.threshold) or args.threshold < 0:
         return _fail("--threshold must be finite and non-negative")
     n = max(p, q)
-    _check_size(f"the ({n * n}, {n * n}) projection operands of factor size {n}", n ** 4, np.complex128)
+    _check_size(
+        f"a ({n * n}, {n * n}) complex array (the largest decompose could build at factor size {n})",
+        n ** 4, np.complex128,
+    )
     if args.input == "swap":
         m = swap_by_formula(p, q).dense()
     else:

@@ -23,14 +23,15 @@ generator its place in the canonical order; the triplets and the
 string labels (``"S(1,2)"``, ...) rendered from it and the dense
 (n^2, n, n) stack are built only when a consumer first reads them.
 
-Projections over ``{identity} + basis(n)`` read per-n constants, built
-once per n and read-only, so a call does no more than its matrix
-products.  :func:`expand_in_basis` and :func:`reconstruct` read
-:func:`projection_operands`: the stack as (n^2, n^2), its conjugate and
-the squared norms.  The product layer reads :func:`real_operands`: every
-element is real (the identity, S, D) or purely imaginary (A), so the
-stack is ``phase[:, None] * real`` with a real (n^2, n^2) matrix, built
-from the triplets without the stack, and phases 1 or 1j.
+Projections over ``{identity} + basis(n)`` work from the triplets too.
+:func:`expand_in_basis` gathers the entries of ``m`` at the generators'
+nonzeros and sums them per generator, and :func:`reconstruct` scatters
+the weighted nonzeros back into one n x n array: O(n^2) work, no stack
+and no per-n cache.  The product layer reads :func:`real_operands`, built
+once per n and read-only: every element is real (the identity, S, D) or
+purely imaginary (A), so the stack is ``phase[:, None] * real`` with a
+real (n^2, n^2) matrix, built from the triplets without the stack, and
+phases 1 or 1j.
 """
 
 from dataclasses import dataclass
@@ -200,38 +201,12 @@ def basis(n):
     return GellMannBasis(n, _triplets(n))
 
 
-class ProjectionOperands(NamedTuple):
-    """What a projection over ``{identity} + basis(n)`` reads, for one n.
-
-    ``stack`` is the (n^2, n^2) view of ``basis(n).stack``: row k is the
-    row-major ``vec`` of element k, the identity first.  ``conj`` is its
-    complex conjugate and ``norms`` the squared HS norms (n for the
-    identity, 2 for each generator) as complex128, so a division by them
-    casts nothing.  All three are read-only.
-    """
-
-    stack: np.ndarray
-    conj: np.ndarray
-    norms: np.ndarray
-
-
-@lru_cache(maxsize=None)
-def projection_operands(n):
-    """The cached :class:`ProjectionOperands` of dimension ``n >= 1``.
-
-    Dimension 1 has no generators: its stack is ``[[1]]`` with norms
-    ``[1]``.  Each n projected keeps one extra (n^2, n^2) complex array,
-    the conjugate (16 MB at n = 32); the stack is the basis's own.
-    """
+def _nonzeros(n):
+    """The triplets of ``basis(n)`` for ``n >= 1``; dimension 1 has no
+    generators, so none."""
     if n < 1:
         raise ValueError(f"projection dimension must be positive, got {n}")
-    stack = (basis(n).stack if n > 1 else identity(1)).reshape(n * n, n * n)
-    norms = np.full(n * n, 2.0, dtype=np.complex128)
-    norms[0] = n
-    operands = ProjectionOperands(stack, stack.conj(), norms)
-    for a in operands:
-        a.setflags(write=False)
-    return operands
+    return basis(n).triplets if n > 1 else _triplets(1)
 
 
 class RealOperands(NamedTuple):
@@ -275,17 +250,14 @@ def real_operands(n):
     Dimension 1 has no generators: ``real`` is ``[[1.0]]``.  Each n keeps
     one (n^2, n^2) float64 array, 8 MB at n = 32.
     """
-    if n < 1:
-        raise ValueError(f"projection dimension must be positive, got {n}")
+    triplets = _nonzeros(n)
+    k, i, j, value = triplets
+    imaginary = _imaginary(triplets, n)
     real = np.zeros((n * n, n * n))
     real[0, :: n + 1] = 1.0
+    real[k + 1, i * n + j] = np.where(imaginary[k], value.imag, value.real)
     phase = np.ones(n * n, dtype=np.complex128)
-    if n > 1:
-        triplets = basis(n).triplets
-        k, i, j, value = triplets
-        imaginary = _imaginary(triplets, n)
-        real[k + 1, i * n + j] = np.where(imaginary[k], value.imag, value.real)
-        phase[1:][imaginary] = 1j
+    phase[1:][imaginary] = 1j
     norms = np.full(n * n, 2.0)
     norms[0] = n
     operands = RealOperands(real, phase, phase.conj() / norms)
@@ -297,9 +269,10 @@ def real_operands(n):
 def expand_in_basis(m, n=None):
     """Expand ``m`` over ``{identity} + basis(n)`` by orthogonal projection.
 
-    ``c0 = Tr(m) / n`` and ``c[k] = hs_inner(basis_k, m) / 2``, all
-    computed as one product of the cached conjugate stack of
-    :func:`projection_operands` with ``vec(m)``; the input need not be
+    ``c0 = Tr(m) / n`` and ``c[k] = hs_inner(basis_k, m) / 2``, which is
+    half the sum of ``conj(value) * m[i, j]`` over the (i, j, value)
+    nonzeros of generator k: one gather from ``m`` and one sum per
+    generator, read from ``basis(n).triplets``.  The input need not be
     hermitian, in which case coefficients are complex.
     """
     m = as_matrix(m)
@@ -309,16 +282,25 @@ def expand_in_basis(m, n=None):
         n = m.shape[0]
     elif m.shape != (n, n):
         raise ValueError(f"matrix shape {m.shape} does not match n={n}")
-    operands = projection_operands(n)
-    coeffs = operands.conj @ m.ravel()
-    coeffs /= operands.norms
-    return BasisCoefficients(n=n, c0=complex(coeffs[0]), c=coeffs[1:])
+    k, i, j, value = _nonzeros(n)
+    terms = np.conj(value)
+    terms *= m.ravel()[i * n + j]
+    c = np.empty(n * n - 1, dtype=np.complex128)
+    c.real = np.bincount(k, terms.real, c.size)
+    c.imag = np.bincount(k, terms.imag, c.size)
+    c *= 0.5
+    return BasisCoefficients(n=n, c0=complex(m.trace() / n), c=c)
 
 
 def reconstruct(coeffs):
-    """Evaluate ``c0 * identity(n) + sum_k c[k] * basis_k``."""
+    """Evaluate ``c0 * identity(n) + sum_k c[k] * basis_k`` by adding each
+    generator's nonzeros, times its coefficient, into one n x n array."""
     n = coeffs.n
     c = np.asarray(coeffs.c, dtype=np.complex128)
     if c.shape != (n * n - 1,):
         raise ValueError(f"need {n * n - 1} coefficients for n={n}, got {c.shape}")
-    return (np.concatenate(([coeffs.c0], c)) @ projection_operands(n).stack).reshape(n, n)
+    k, i, j, value = _nonzeros(n)
+    m = np.zeros(n * n, dtype=np.complex128)
+    np.add.at(m, i * n + j, c[k] * value)
+    m[:: n + 1] += coeffs.c0
+    return m.reshape(n, n)

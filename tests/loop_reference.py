@@ -1,11 +1,11 @@
 """Term-by-term loops kept as the reference for the library's
 matrix-product forms.
 
-``decompose_product``/``reconstruct_product`` and
-``expand_in_basis``/``reconstruct`` compute every coefficient at once from
-stacks of vectorized basis matrices, and the family sums and the
-closed-form check scatter their Kronecker squares from each matrix's
-nonzeros.  The loops here evaluate the same quantities one basis element
+``decompose_product``/``reconstruct_product`` compute every coefficient
+at once from stacks of vectorized basis matrices,
+``expand_in_basis``/``reconstruct`` gather and scatter each generator's
+nonzeros, and the family sums and the closed-form check scatter their
+Kronecker squares from each matrix's nonzeros.  The loops here evaluate the same quantities one basis element
 at a time, straight from the definitions: one Hilbert-Schmidt inner
 product per cell, one Kronecker product per term.
 ``sum_kron_squares_realigned`` keeps the dense realigned product that the
@@ -23,8 +23,11 @@ over the pairs, independently of the library's numbering, and
 ``extended_stack`` and the ``*_per_call`` functions keep the
 matrix-product projections as they were before their per-size operands
 were cached: the stack, its conjugate and the norm grid rebuilt on every
-call, as the bitwise oracle for the cached expansion and as the complex
-form that the real product projection must stay within 1e-14 of.
+call, as the complex form that the real product projection and the
+triplet expansion must stay within 1e-14 of.  ``generator_triplets``
+reads the generators' nonzeros off ``basis_stack``, and the
+``*_triplets_per_call`` functions expand and reconstruct from them on
+every call, as the bitwise oracle for the triplet expansion.
 ``real_stack`` splits the stack into a real matrix and phases, and the
 ``*_real_per_call`` functions rebuild that split on every call, as the
 bitwise oracle for the real product projection.  ``one_positions`` sorts
@@ -207,6 +210,41 @@ def reconstruct_per_call(n, c0, c):
     """``c0 * identity(n) + sum_k c[k] * G_k`` from a per-call stack."""
     stack, _ = extended_stack(n)
     return (np.concatenate(([c0], c)) @ stack).reshape(n, n)
+
+
+def generator_triplets(n):
+    """The (k, i, j, value) nonzeros of the generators of dimension n, by
+    generator and row-major within each one, read off the stack that the
+    single-generator functions fill; none at n = 1."""
+    stack = basis_stack(n)[1:]
+    k, i, j = np.nonzero(stack)
+    return k, i, j, stack[k, i, j]
+
+
+def expand_triplets_per_call(m):
+    """All expansion coefficients of ``m``, the identity's first: the trace
+    over n, then half of each generator's sum of ``conj(value) * m[i, j]``
+    over its nonzeros, from triplets built on every call."""
+    n = m.shape[0]
+    k, i, j, value = generator_triplets(n)
+    terms = value.conj() * m[i, j]
+    c = np.empty(n * n, dtype=np.complex128)
+    c[0] = np.trace(m) / n
+    c[1:].real = np.bincount(k, terms.real, n * n - 1)
+    c[1:].imag = np.bincount(k, terms.imag, n * n - 1)
+    c[1:] *= 0.5
+    return c
+
+
+def reconstruct_triplets_per_call(n, c0, c):
+    """``c0 * identity(n) + sum_k c[k] * G_k``, adding each generator's
+    nonzeros times its coefficient into a zeroed matrix, from triplets
+    built on every call."""
+    k, i, j, value = generator_triplets(n)
+    out = np.zeros((n, n), dtype=np.complex128)
+    np.add.at(out, (i, j), c[k] * value)
+    out[range(n), range(n)] += c0
+    return out
 
 
 def basis_coefficients(m):

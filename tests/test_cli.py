@@ -191,6 +191,25 @@ class TestSwapCommand:
         ]
 
 
+    def test_positions_are_formatted_a_chunk_at_a_time(self, monkeypatch):
+        # Text for the whole swap took about 230 bytes an entry; the perm,
+        # the ones' columns and one chunk's text take under 64.  csv and
+        # pretty format their chunks the same way.
+        class Discard:
+            def write(self, text):
+                return len(text)
+
+        entries = 1000 * 1000
+        monkeypatch.setattr(sys, "stdout", Discard())
+        tracemalloc.start()
+        try:
+            assert cli.main(["swap", "--p", "1000", "--q", "1000", "--format", "json"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * entries
+
+
 class TestDecomposeCommand:
     def test_swap_2x2_sparse_listing(self):
         result = run_cli("decompose", "--p", "2", "--q", "2", "--input", "swap", "--format", "json")
@@ -523,6 +542,15 @@ class TestSizeGate:
         assert result.returncode == 2
         assert result.stdout == ""
         assert result.stderr == "tcm: error: the 1000000000000-entry swap permutation would take 7.276 TiB, over the 256 MiB limit\n"
+
+    def test_oversize_decompose_names_the_largest_array_it_could_build(self, capsys):
+        # the bound is an (m^2, m^2) complex array, m = max(p, q), not the
+        # float64 real operands, which take half of that
+        assert cli.main(["decompose", "--p", "2", "--q", "65"]) == 2
+        assert capsys.readouterr().err == (
+            "tcm: error: a (4225, 4225) complex array (the largest decompose could build "
+            "at factor size 65) would take 272.4 MiB, over the 256 MiB limit\n"
+        )
 
 
 class TestUsage:

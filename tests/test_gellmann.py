@@ -18,9 +18,9 @@ from tcm.gellmann import (
     BasisCoefficients,
     Triplets,
     _imaginary,
+    _nonzeros,
     basis,
     expand_in_basis,
-    projection_operands,
     real_operands,
     reconstruct,
 )
@@ -227,8 +227,6 @@ class TestTriplets:
 class TestStack:
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_one_read_only_stack_with_identity_first(self, n):
-        # operands cached before a basis.cache_clear() view the previous basis
-        projection_operands.cache_clear()
         b = basis(n)
         assert not hasattr(b, "elements")
         assert b.stack.shape == (n * n, n, n)
@@ -236,13 +234,6 @@ class TestStack:
         assert not b.stack.flags.writeable
         np.testing.assert_array_equal(b.stack[0], identity(n))
         assert np.shares_memory(b.matrices, b.stack)
-        stack, conj, norms = projection_operands(n)
-        assert stack.shape == conj.shape == (n * n, n * n)
-        assert np.shares_memory(stack, b.stack)
-        assert conj.tobytes() == b.stack.conj().tobytes()
-        assert norms.dtype == np.complex128
-        assert norms.tolist() == [n] + [2.0] * (n * n - 1)
-        assert projection_operands(n) is projection_operands(n)
 
     def test_pairs_view_the_stack(self):
         b = basis(3)
@@ -261,24 +252,25 @@ class TestStack:
         assert np.signbit(a12[0, 1].real) and not np.signbit(a12[1, 0].real)
 
     def test_one_dimensional_stack(self):
-        stack, conj, norms = projection_operands(1)
-        assert stack.tolist() == conj.tolist() == [[1]]
-        assert norms.tolist() == [1]
+        # {I_1} alone: no generator nonzeros, so every matrix is c0 * I_1
+        assert all(a.size == 0 for a in _nonzeros(1))
+        coeffs = expand_in_basis([[2 - 3j]])
+        assert coeffs.c0 == 2 - 3j
+        assert coeffs.c.shape == (0,)
+        assert reconstruct(coeffs).tolist() == [[2 - 3j]]
 
     @pytest.mark.parametrize(
         "call",
         [
-            lambda: projection_operands(0),
-            lambda: projection_operands(-2),
             lambda: expand_in_basis(np.zeros((0, 0))),
+            lambda: reconstruct(BasisCoefficients(n=-2, c0=0.0, c=np.zeros(3))),
             lambda: decompose_product(np.zeros((0, 0)), 0, 3),
             lambda: real_operands(0),
             lambda: real_operands(-2),
         ],
         ids=[
-            "projection_operands(0)",
-            "projection_operands(-2)",
             "expand_in_basis(0x0)",
+            "reconstruct(n=-2)",
             "decompose_product(0x0, 0, 3)",
             "real_operands(0)",
             "real_operands(-2)",
@@ -290,15 +282,14 @@ class TestStack:
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_cached_operands_refuse_writes(self, n):
-        # one caller's write would corrupt every later projection of size n
-        operands = projection_operands(n)
-        for name, a in operands._asdict().items():
+        # one caller's write to the cached triplets would corrupt every
+        # later projection of size n
+        for name, a in _nonzeros(n)._asdict().items():
             assert not a.flags.writeable, name
             with pytest.raises(ValueError):
-                a[0] = 7.0
+                a[...] = 0
             with pytest.raises(ValueError):
-                np.multiply(a, 2.0, out=a)
-        assert projection_operands(n).norms.tolist() == [n] + [2.0] * (n * n - 1)
+                np.multiply(a, 2, out=a)
         m = np.arange(n * n, dtype=np.complex128).reshape(n, n)
         assert max_abs_diff(reconstruct(expand_in_basis(m)), m) <= 1e-12
 
@@ -405,6 +396,16 @@ class TestReconstruct:
             n = 2 + trial % 5
             m = random_complex(rng, n)
             assert max_abs_diff(reconstruct(expand_in_basis(m)), m) <= 1e-10
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_round_trip_at_desk_scale_and_beyond(self, n):
+        rng = np.random.default_rng(400 + n)
+        m = random_complex(rng, n)
+        coeffs = expand_in_basis(m)
+        assert max_abs_diff(reconstruct(coeffs), m) <= 1e-10
+        again = expand_in_basis(reconstruct(coeffs))
+        assert abs(again.c0 - coeffs.c0) <= 1e-10
+        assert np.max(np.abs(again.c - coeffs.c)) <= 1e-10
 
     def test_identity_coefficients(self):
         coeffs = BasisCoefficients(n=4, c0=1.0, c=np.zeros(15, dtype=complex))

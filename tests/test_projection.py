@@ -1,6 +1,7 @@
-"""The matrix-product forms against the term-by-term loops, bit for bit
-against per-call forms of the same arithmetic, and the real product
-projection within 1e-14 of the complex products it replaced."""
+"""The matrix-product and triplet forms against the term-by-term loops,
+bit for bit against per-call forms of the same arithmetic, and the real
+product projection and the triplet expansion within 1e-14 of the complex
+products they replaced."""
 
 import tracemalloc
 
@@ -104,16 +105,34 @@ def test_product_projection_is_within_1e_14_of_the_complex_form(p, q):
             np.testing.assert_array_equal(np.abs(grid) > 1e-12, np.abs(expected) > 1e-12)
 
 
+def expansion_inputs(n):
+    """``oracle_inputs`` of n's smallest factor d (x) n / d: the swap is the
+    identity for prime n."""
+    d = next(d for d in range(2, n + 1) if n % d == 0) if n > 1 else 1
+    return oracle_inputs(d, n // d)
+
+
 @pytest.mark.parametrize("n", range(1, 17))
 def test_expansion_equals_the_per_call_form_bitwise(n):
-    # the swap of n's smallest factor d (x) n / d: the identity for prime n
-    d = next(d for d in range(2, n + 1) if n % d == 0) if n > 1 else 1
-    for kind, m in oracle_inputs(d, n // d).items():
+    for kind, m in expansion_inputs(n).items():
+        coeffs = expand_in_basis(m)
+        expected = loops.expand_triplets_per_call(m)
+        assert np.concatenate(([coeffs.c0], coeffs.c)).tobytes() == expected.tobytes(), kind
+        back = loops.reconstruct_triplets_per_call(n, expected[0], expected[1:])
+        assert reconstruct(coeffs).tobytes() == back.tobytes(), kind
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_expansion_is_within_1e_14_of_the_stack_product(n):
+    # The product of the conjugate stack with vec(m) that the triplet sums
+    # replaced, and the product of the coefficients with the stack.
+    for kind, m in expansion_inputs(n).items():
+        bound = 1e-14 * max(1.0, np.max(np.abs(m)))
         coeffs = expand_in_basis(m)
         expected = loops.expand_per_call(m)
-        assert np.concatenate(([coeffs.c0], coeffs.c)).tobytes() == expected.tobytes(), kind
+        assert np.max(np.abs(np.concatenate(([coeffs.c0], coeffs.c)) - expected)) <= bound, kind
         back = loops.reconstruct_per_call(n, expected[0], expected[1:])
-        assert reconstruct(coeffs).tobytes() == back.tobytes(), kind
+        assert np.max(np.abs(reconstruct(coeffs) - back)) <= bound, kind
 
 
 def warm_peak(call):
@@ -131,6 +150,24 @@ def test_warm_expansion_copies_no_stack():
     # the per-call form conjugated the whole (256, 256) stack: 1 MB per call
     m = random_operator(16, "complex", 16)
     assert warm_peak(lambda: expand_in_basis(m)) < 64 * 1024
+
+
+def test_cold_expansion_renders_no_stack():
+    # At n = 48 one n^4-entry complex array is 81 MiB; rendering the stack
+    # and its conjugate peaked at 162 MiB.  The triplets and the per-call
+    # gather and scatter take well under a MiB.
+    n = 48
+    m = random_operator(48, "complex", n)
+    basis.cache_clear()
+    tracemalloc.start()
+    try:
+        back = reconstruct(expand_in_basis(m))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "stack" not in vars(basis(n))
+    assert peak < n ** 4 * np.dtype(np.complex128).itemsize / 32
+    assert max_abs_diff(back, m) <= DEFAULT_ABS_EPS
 
 
 def test_warm_product_projection_makes_no_conjugate_copy():
