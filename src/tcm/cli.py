@@ -1,9 +1,10 @@
 """Command line interface: ``tcm basis|swap|decompose|verify``.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error,
-3 internal consistency failure (rule and formula constructions disagree).
-A request whose largest array would exceed ``_MAX_ARRAY_BYTES`` is a usage
-error, refused before anything is built.
+3 internal consistency failure (a broken walk checkpoint, or rule and
+formula constructions that disagree).  Every refusal, including a request
+whose largest array would exceed ``_MAX_ARRAY_BYTES`` (refused before
+anything is built), raises InputError; main alone turns it into exit 2.
 Complex numbers serialize as [re, im] pairs in JSON and as re,im column
 pairs in CSV; matrices in JSON always use the object form
 ``{"rows": R, "cols": C, "entries": [[re, im], ...]}`` (row-major), which
@@ -12,7 +13,6 @@ is also the accepted input file format for ``decompose``.
 
 import argparse
 import json
-import os
 import sys
 from itertools import chain
 
@@ -40,11 +40,6 @@ class InputError(Exception):
     """Unusable command input (bad value, unreadable or misshapen file)."""
 
 
-def _fail(message):
-    print(f"tcm: error: {message}", file=sys.stderr)
-    return EXIT_USAGE
-
-
 def _size_text(size):
     for unit in ("bytes", "KiB", "MiB", "GiB"):
         if size < 1024:
@@ -59,20 +54,6 @@ def _check_size(array, cells, dtype):
     size = cells * np.dtype(dtype).itemsize
     if size > _MAX_ARRAY_BYTES:
         raise InputError(f"{array} would take {_size_text(size)}, over the {_size_text(_MAX_ARRAY_BYTES)} limit")
-
-
-def _default_tolerance():
-    """Default comparison tolerance, overridable via TCM_TOLERANCE."""
-    raw = os.environ.get("TCM_TOLERANCE")
-    if raw is None:
-        return DEFAULT_ABS_EPS
-    try:
-        value = float(raw)
-    except ValueError:
-        raise InputError(f"TCM_TOLERANCE is not a decimal number: {raw!r}")
-    if not np.isfinite(value) or value < 0:
-        raise InputError(f"TCM_TOLERANCE must be finite and non-negative, got {raw!r}")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +381,7 @@ def _pair_values(entries):
 def cmd_basis(args):
     n = args.n
     if n < 2:
-        return _fail("--n must be at least 2")
+        raise InputError("--n must be at least 2")
     _check_size(f"the ({n * n}, {n}, {n}) basis stack", n ** 4, np.complex128)
     _write_basis(args.format, basis(n))
     return EXIT_OK
@@ -409,28 +390,21 @@ def cmd_basis(args):
 def cmd_swap(args):
     p, q = args.p, args.q
     if p < 1 or q < 1:
-        return _fail("--p and --q must be at least 1")
+        raise InputError("--p and --q must be at least 1")
     if args.dense:
         _check_size(f"the dense {p * q} x {p * q} swap", (p * q) ** 2, np.complex128)
     else:
         _check_size(f"the {p * q}-entry swap permutation", p * q, np.int64)
+    # under --method rule a broken walk checkpoint ends in main, exit 3
+    u = (swap_by_rule if args.method == "rule" else swap_by_formula)(p, q)
     methods_agree = None
-    try:
-        if args.method == "both":
-            u = swap_by_formula(p, q)
+    if args.method == "both":
+        try:
             methods_agree = bool(np.array_equal(u.perm, swap_by_rule(p, q).perm))
-        elif args.method == "rule":
-            u = swap_by_rule(p, q)
-        else:
-            u = swap_by_formula(p, q)
-    except WalkCheckpointError:
-        methods_agree = False
-    if methods_agree is False:
-        print(
-            "tcm: internal consistency failure: rule and formula constructions disagree",
-            file=sys.stderr,
-        )
-        return EXIT_INTERNAL
+        except WalkCheckpointError:
+            methods_agree = False
+        if not methods_agree:
+            return _internal_failure("rule and formula constructions disagree")
     _write_swap(args.format, u, args.method, methods_agree, args.dense)
     return EXIT_OK
 
@@ -438,9 +412,9 @@ def cmd_swap(args):
 def cmd_decompose(args):
     p, q = args.p, args.q
     if p < 1 or q < 1:
-        return _fail("--p and --q must be at least 1")
+        raise InputError("--p and --q must be at least 1")
     if not np.isfinite(args.threshold) or args.threshold < 0:
-        return _fail("--threshold must be finite and non-negative")
+        raise InputError("--threshold must be finite and non-negative")
     n = max(p, q)
     _check_size(
         f"a ({n * n}, {n * n}) complex array (the largest decompose could build at factor size {n})",
@@ -451,9 +425,8 @@ def cmd_decompose(args):
     else:
         m = _load_matrix_file(args.input)
         if m.shape != (p * q, p * q):
-            return _fail(
-                f"matrix file {args.input!r} is {m.shape[0]} x {m.shape[1]}, "
-                f"expected {p * q} x {p * q}"
+            raise InputError(
+                f"matrix file {args.input!r} is {m.shape[0]} x {m.shape[1]}, expected {p * q} x {p * q}"
             )
     # the sign of a zero part depends on the order of the arithmetic;
     # + 0.0 makes each -0.0 a 0.0, so none is printed
@@ -464,19 +437,15 @@ def cmd_decompose(args):
 
 def cmd_verify(args):
     if args.n_max < 2:
-        return _fail("--n-max must be at least 2")
+        raise InputError("--n-max must be at least 2")
     if args.n_max > _MAX_VERIFY_N:
-        return _fail(
-            f"--n-max must be at most {_MAX_VERIFY_N} "
-            f"(the largest size the checks are tested at)"
-        )
-    tol = args.tol if args.tol is not None else _default_tolerance()
-    if not np.isfinite(tol) or tol < 0:
-        return _fail("--tol must be finite and non-negative")
+        raise InputError(f"--n-max must be at most {_MAX_VERIFY_N} (the largest size the checks are tested at)")
+    if not np.isfinite(args.tol) or args.tol < 0:
+        raise InputError("--tol must be finite and non-negative")
     all_ok = True
     for n in range(2, args.n_max + 1):
         closed_err, off_err, diag_err = identity_errors(n)
-        ok = closed_err <= tol and off_err <= tol and diag_err <= tol
+        ok = closed_err <= args.tol and off_err <= args.tol and diag_err <= args.tol
         all_ok = all_ok and ok
         print(
             f"n={n:2d}  closed-form {closed_err:.3e}  "
@@ -484,9 +453,9 @@ def cmd_verify(args):
             f"{'ok' if ok else 'FAIL'}"
         )
     if all_ok:
-        print(f"verify: all checks passed for n = 2..{args.n_max} (tol {tol:g})")
+        print(f"verify: all checks passed for n = 2..{args.n_max} (tol {args.tol:g})")
         return EXIT_OK
-    print(f"verify: FAILED at tol {tol:g}", file=sys.stderr)
+    print(f"verify: FAILED at tol {args.tol:g}", file=sys.stderr)
     return EXIT_VERIFY_FAILED
 
 
@@ -542,11 +511,16 @@ def build_parser():
     p_ver.add_argument(
         "--tol",
         type=float,
-        default=None,
-        help="comparison tolerance (default: TCM_TOLERANCE or 1e-10)",
+        default=DEFAULT_ABS_EPS,
+        help="comparison tolerance (default %(default)g)",
     )
     p_ver.set_defaults(func=cmd_verify)
     return parser
+
+
+def _internal_failure(message):
+    print(f"tcm: internal consistency failure: {message}", file=sys.stderr)
+    return EXIT_INTERNAL
 
 
 def main(argv=None):
@@ -554,7 +528,10 @@ def main(argv=None):
     try:
         return args.func(args)
     except InputError as exc:
-        return _fail(str(exc))
+        print(f"tcm: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except WalkCheckpointError as exc:
+        return _internal_failure(exc)
 
 
 if __name__ == "__main__":

@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .matops import as_matrix, identity
+from .matops import as_matrix, dimension, identity
 
 SYMMETRIC = "symmetric"
 ANTISYMMETRIC = "antisymmetric"
@@ -131,12 +131,12 @@ class GellMannBasis:
         return self.labels[k], self.matrices[k]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BasisCoefficients:
     """Expansion of an n x n matrix over ``{identity} + basis(n)``.
 
     ``c0`` multiplies the identity; ``c[k]`` multiplies the k-th basis
-    element in canonical order.
+    element in canonical order.  Compares and hashes by identity.
     """
 
     n: int
@@ -187,26 +187,29 @@ def _triplets(n):
     return triplets
 
 
-@lru_cache(maxsize=None)
 def basis(n):
     """Return the canonically ordered :class:`GellMannBasis` for dimension n.
 
     Order: for j = 2..n emit S(i,j), A(i,j) for i = 1..j-1, then D(j-1).
     At n=2 this is (sigma_1, sigma_2, sigma_3); at n=3 it is the classical
-    (lambda_1, ..., lambda_8).  Results are cached; the triplets are
-    read-only so the cache stays safe to share.
+    (lambda_1, ..., lambda_8).  Results are cached by the checked int n; the
+    triplets are read-only so the cache stays safe to share.
     """
-    if n < 2:
-        raise ValueError(f"basis dimension must be at least 2, got {n}")
+    return _basis(dimension(n, 2))
+
+
+@lru_cache(maxsize=None)
+def _basis(n):
     return GellMannBasis(n, _triplets(n))
 
 
+basis.cache_clear = _basis.cache_clear
+
+
 def _nonzeros(n):
-    """The triplets of ``basis(n)`` for ``n >= 1``; dimension 1 has no
-    generators, so none."""
-    if n < 1:
-        raise ValueError(f"projection dimension must be positive, got {n}")
-    return basis(n).triplets if n > 1 else _triplets(1)
+    """The triplets of ``basis(n)`` for a checked ``n >= 1``; dimension 1
+    has no generators, so none."""
+    return _basis(n).triplets if n > 1 else _triplets(1)
 
 
 class RealOperands(NamedTuple):
@@ -242,14 +245,18 @@ def _imaginary(triplets, n):
     return has_imag
 
 
-@lru_cache(maxsize=None)
 def real_operands(n):
     """The cached :class:`RealOperands` of dimension ``n >= 1``.
 
     Built from ``basis(n).triplets``, so the dense stack is never rendered.
     Dimension 1 has no generators: ``real`` is ``[[1.0]]``.  Each n keeps
-    one (n^2, n^2) float64 array, 8 MB at n = 32.
+    one (n^2, n^2) float64 array, 8 MB at n = 32, cached by the checked int.
     """
+    return _real_operands(dimension(n, 1))
+
+
+@lru_cache(maxsize=None)
+def _real_operands(n):
     triplets = _nonzeros(n)
     k, i, j, value = triplets
     imaginary = _imaginary(triplets, n)
@@ -266,6 +273,9 @@ def real_operands(n):
     return operands
 
 
+real_operands.cache_clear = _real_operands.cache_clear
+
+
 def expand_in_basis(m, n=None):
     """Expand ``m`` over ``{identity} + basis(n)`` by orthogonal projection.
 
@@ -275,12 +285,12 @@ def expand_in_basis(m, n=None):
     generator, read from ``basis(n).triplets``.  The input need not be
     hermitian, in which case coefficients are complex.
     """
+    if n is not None:
+        n = dimension(n, 1)
     m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"expand_in_basis needs a square matrix, got {m.shape}")
     if n is None:
-        n = m.shape[0]
-    elif m.shape != (n, n):
+        n = dimension(m.shape[0], 1)
+    if m.shape != (n, n):
         raise ValueError(f"matrix shape {m.shape} does not match n={n}")
     k, i, j, value = _nonzeros(n)
     terms = np.conj(value)
@@ -295,7 +305,7 @@ def expand_in_basis(m, n=None):
 def reconstruct(coeffs):
     """Evaluate ``c0 * identity(n) + sum_k c[k] * basis_k`` by adding each
     generator's nonzeros, times its coefficient, into one n x n array."""
-    n = coeffs.n
+    n = dimension(coeffs.n, 1)
     c = np.asarray(coeffs.c, dtype=np.complex128)
     if c.shape != (n * n - 1,):
         raise ValueError(f"need {n * n - 1} coefficients for n={n}, got {c.shape}")

@@ -27,11 +27,22 @@ def as_matrix(m):
     return a
 
 
+def dimension(n, least):
+    """The size argument ``n`` as a plain int; ValueError unless it is a
+    Python or numpy integer (a bool is none) of at least ``least``."""
+    if type(n) is not int:
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValueError(f"a dimension must be an integer, got {type(n).__name__}")
+        n = int(n)
+    if n < least:
+        bound = "positive" if least == 1 else f"at least {least}"
+        raise ValueError(f"a dimension must be {bound}, got {n}")
+    return n
+
+
 def identity(n):
     """n x n identity matrix, n >= 1."""
-    if n < 1:
-        raise ValueError(f"identity dimension must be positive, got {n}")
-    return np.eye(n, dtype=np.complex128)
+    return np.eye(dimension(n, 1), dtype=np.complex128)
 
 
 def hs_inner(a, b):

@@ -57,16 +57,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matops import DEFAULT_ABS_EPS, as_matrix, identity
-from .gellmann import Triplets, basis, real_operands
+from .matops import DEFAULT_ABS_EPS, as_matrix, dimension, identity
+from .gellmann import Triplets, _real_operands, basis
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProductCoefficients:
     """p^2 x q^2 coefficient grid over the product basis.
 
     Index 0 on each axis is the identity; indices 1..n^2-1 follow the
-    canonical generator order of the corresponding factor.
+    canonical generator order of the corresponding factor.  Compares and
+    hashes by identity.
     """
 
     p: int
@@ -74,14 +75,14 @@ class ProductCoefficients:
     grid: np.ndarray
 
     def __post_init__(self):
-        if self.p < 1 or self.q < 1:
-            raise ValueError(f"factor dimensions must be positive, got p={self.p}, q={self.q}")
+        p, q = dimension(self.p, 1), dimension(self.q, 1)
         grid = np.array(self.grid, dtype=np.complex128)  # owned: the caller's array stays theirs
-        expected = (self.p * self.p, self.q * self.q)
+        expected = (p * p, q * q)
         if grid.shape != expected:
             raise ValueError(f"grid shape must be {expected}, got {grid.shape}")
         grid.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
+        fields = vars(self)  # frozen; cheaper than three object.__setattr__ calls
+        fields["p"], fields["q"], fields["grid"] = p, q, grid
 
 
 @dataclass(frozen=True)
@@ -96,6 +97,7 @@ class ClosedFormReport:
 
 def extended_labels(n):
     """Axis labels for a coefficient grid: ``I`` then S/A/D notation."""
+    n = dimension(n, 1)
     return ["I", *(basis(n).labels if n > 1 else ())]
 
 
@@ -122,10 +124,11 @@ def decompose_product(m, p, q):
     ``w = conj(phase) / norms``: two float64 products on one copy of
     ``R(m)^T``, then both factors' weights in place.
     """
+    p, q = dimension(p, 1), dimension(q, 1)
     m = as_matrix(m)
     if m.shape != (p * q, p * q):
         raise ValueError(f"matrix shape {m.shape} does not match p*q = {p * q}")
-    a, b = real_operands(p), real_operands(q)
+    a, b = _real_operands(p), _real_operands(q)
     # R(m)^T[(i2, j2), (i1, j1)] = m[(i1, i2), (j1, j2)], copied, as the
     # products overwrite it and at p = 1 or q = 1 the transpose alone is a
     # view of m; passed unnamed, it is freed before the grid is copied
@@ -144,8 +147,8 @@ def reconstruct_product(coeffs):
     two float64 products, which give ``R(m)^T``, unrealigned into that
     copy.
     """
-    p, q = coeffs.p, coeffs.q
-    a, b = real_operands(p), real_operands(q)
+    p, q = coeffs.p, coeffs.q  # checked by ProductCoefficients
+    a, b = _real_operands(p), _real_operands(q)
     buffer = coeffs.grid * a.phase[:, None]
     buffer *= b.phase
     rt = _real_products(a.real.T, b.real.T, buffer)
@@ -156,8 +159,7 @@ def reconstruct_product(coeffs):
 
 def closed_form_swap_coefficients(n):
     """Coefficient grid of ``swap(n, n)``: 1/n at (0,0), 1/2 on the diagonal."""
-    if n < 2:
-        raise ValueError(f"closed form needs n >= 2, got {n}")
+    n = dimension(n, 2)
     grid = np.zeros((n * n, n * n), dtype=np.complex128)
     np.fill_diagonal(grid, 0.5)
     grid[0, 0] = 1.0 / n
@@ -233,8 +235,7 @@ def _offdiag_reference_cells(n):
     ``kron(E_ij, E_ji)`` has its one 1 at row ``i*n + j``, column
     ``j*n + i`` (0-based).
     """
-    if n < 2:
-        raise ValueError(f"family sums need n >= 2, got {n}")
+    n = dimension(n, 2)
     i, j = np.divmod(np.arange(n * n), n)
     pair = i != j
     keys = ((i * n + j) * (n * n) + j * n + i)[pair]
@@ -256,8 +257,7 @@ def _diagonal_reference_cells(n):
     """Cells of the condensed diagonal-family sum
     ``-(2/n) I + 2 sum_i kron(E_ii, E_ii)``: every diagonal cell, with 2
     more at ``kron(E_ii, E_ii)``'s diagonal index ``i*(n+1)`` (0-based)."""
-    if n < 2:
-        raise ValueError(f"family sums need n >= 2, got {n}")
+    n = dimension(n, 2)
     values = np.full(n * n, -2.0 / n, dtype=np.complex128)
     values[np.arange(n) * (n + 1)] += 2.0
     return np.arange(n * n) * (n * n + 1), values
@@ -289,6 +289,7 @@ def verify_closed_form(n, abs_eps=DEFAULT_ABS_EPS):
     coalesced cell by cell, so nothing of n^4 entries is built.  A NaN
     anywhere fails the check.
     """
+    n = basis(n).n  # the checked int
     err = _largest_residual(_pair_products(basis(n).triplets, n), _closed_form_cells(n))
     return ClosedFormReport(n=n, max_error=err, abs_eps=abs_eps, passed=err <= abs_eps)
 

@@ -21,17 +21,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .matops import dimension
+
 
 class WalkCheckpointError(RuntimeError):
     """The column walk of :func:`swap_by_rule` broke one of its checkpoints."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SwapMatrix:
     """Permutation representation of the p (x) q swap.
 
     ``perm[col]`` is the row holding the single 1 of that column
-    (0-based).  Instances are immutable and safe to share.
+    (0-based).  Instances are immutable and safe to share, and compare
+    and hash by identity.
     """
 
     p: int
@@ -39,6 +42,8 @@ class SwapMatrix:
     perm: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "p", dimension(self.p, 1))
+        object.__setattr__(self, "q", dimension(self.q, 1))
         self._freeze(np.array(self.perm))  # owned: the caller's array stays theirs
 
     @classmethod
@@ -54,7 +59,6 @@ class SwapMatrix:
 
     def _freeze(self, perm):
         """Check an owned ``perm`` against (p, q), make it read-only and store it."""
-        _check_dims(self.p, self.q)
         total = self.p * self.q
         if perm.dtype.kind not in "iu":
             raise ValueError(f"perm must hold integers, got dtype {perm.dtype}")
@@ -119,11 +123,6 @@ def _is_permutation(perm, total):
     return bool(seen.all())
 
 
-def _check_dims(p, q):
-    if p < 1 or q < 1:
-        raise ValueError(f"factor dimensions must be positive, got p={p}, q={q}")
-
-
 def swap_by_formula(p, q):
     """Construct the swap from the delta formula.
 
@@ -132,7 +131,7 @@ def swap_by_formula(p, q):
     ``perm[j1*q + j2] = j2*p + j1``.  A factor of dimension 1 yields the
     identity permutation (the degenerate swap of a scalar factor).
     """
-    _check_dims(p, q)
+    p, q = dimension(p, 1), dimension(q, 1)
     j1, j2 = np.ogrid[:p, :q]
     perm = np.empty(p * q, dtype=np.int64)
     np.add(j2 * p, j1, out=perm.reshape(p, q))
@@ -153,7 +152,7 @@ def swap_by_rule(p, q):
     Kept free of any call into :func:`swap_by_formula` so the two
     constructions stay independent cross-checks of each other.
     """
-    _check_dims(p, q)
+    p, q = dimension(p, 1), dimension(q, 1)
     total = p * q
     group = np.arange(1, p + 1)
     sizes = (total - group) // p + 1  # the descent stops before passing pq

@@ -41,8 +41,8 @@ import re
 import numpy as np
 
 from tcm.gellmann import ANTISYMMETRIC, DIAGONAL, SYMMETRIC, basis
-from tcm.matops import hs_inner, identity
-from tcm.swap import SwapMatrix, WalkCheckpointError, _check_dims
+from tcm.matops import dimension, hs_inner, identity
+from tcm.swap import SwapMatrix, WalkCheckpointError
 
 
 def elementary(n, i, j):
@@ -396,7 +396,7 @@ def swap_by_rule_walk(p, q):
     rows and place a 1.  Whenever fewer than p rows remain (after the k-th
     group of q ones), restart the descent at row k+1 in the next column.
     """
-    _check_dims(p, q)
+    p, q = dimension(p, 1), dimension(q, 1)
     total = p * q
     rows = np.empty(total, dtype=np.int64)
     row = 1

@@ -177,8 +177,17 @@ class TestSwapCommand:
         assert result.returncode == 2
         assert result.stdout == ""
 
-    @pytest.mark.parametrize("method", ["both", "rule"])
-    def test_walk_checkpoint_failure_exits_3(self, monkeypatch, capsys, method):
+    @pytest.mark.parametrize(
+        "method,failure",
+        [
+            # the formula ran, and the walk gave no permutation to match it
+            ("both", "rule and formula constructions disagree"),
+            # the formula never ran: the broken checkpoint is the failure
+            ("rule", "group 1 ended at column 1, expected 2"),
+        ],
+        ids=["both", "rule"],
+    )
+    def test_walk_checkpoint_failure_exits_3(self, monkeypatch, capsys, method, failure):
         def broken_walk(p, q):
             raise WalkCheckpointError("group 1 ended at column 1, expected 2")
 
@@ -186,9 +195,14 @@ class TestSwapCommand:
         assert cli.main(["swap", "--p", "3", "--q", "2", "--method", method]) == 3
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.splitlines() == [
-            "tcm: internal consistency failure: rule and formula constructions disagree"
-        ]
+        assert err.splitlines() == [f"tcm: internal consistency failure: {failure}"]
+
+    def test_permutation_mismatch_exits_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "swap_by_rule", lambda p, q: swap_by_formula(q, p))
+        assert cli.main(["swap", "--p", "3", "--q", "2", "--method", "both"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "tcm: internal consistency failure: rule and formula constructions disagree\n"
 
 
     def test_positions_are_formatted_a_chunk_at_a_time(self, monkeypatch):
@@ -397,22 +411,10 @@ class TestVerifyCommand:
         assert "nan" in lines[0]
         assert captured.err == "verify: FAILED at tol 1e-10\n"
 
-    def test_env_tolerance_override(self):
-        import os
-
-        env = dict(os.environ, TCM_TOLERANCE="1e-18")
-        result = run_cli("verify", "--n-max", "3", env=env)
-        assert result.returncode == 1
-        # explicit flag wins over the environment
-        result = run_cli("verify", "--n-max", "3", "--tol", "1e-10", env=env)
-        assert result.returncode == 0
-
-    def test_bad_env_tolerance_exits_2(self):
-        import os
-
-        env = dict(os.environ, TCM_TOLERANCE="banana")
-        result = run_cli("verify", "--n-max", "3", env=env)
-        assert result.returncode == 2
+    def test_help_shows_the_default_tolerance(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["verify", "--help"])
+        assert "comparison tolerance (default 1e-10)" in capsys.readouterr().out
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
@@ -551,6 +553,77 @@ class TestSizeGate:
             "tcm: error: a (4225, 4225) complex array (the largest decompose could build "
             "at factor size 65) would take 272.4 MiB, over the 256 MiB limit\n"
         )
+
+
+# every refusal of each command, as (arguments, message), run in a folder
+# that holds the matrix files of MATRIX_FILES
+REFUSALS = {
+    "basis": [
+        ("basis --n 1", "--n must be at least 2"),
+        ("basis --n -3 --format json", "--n must be at least 2"),
+        ("basis --n 65", "the (4225, 65, 65) basis stack would take 272.4 MiB, over the 256 MiB limit"),
+    ],
+    "swap": [
+        ("swap --p 0 --q 3", "--p and --q must be at least 1"),
+        ("swap --p 3 --q -1 --method rule", "--p and --q must be at least 1"),
+        ("swap --p 1000000 --q 1000000",
+         "the 1000000000000-entry swap permutation would take 7.276 TiB, over the 256 MiB limit"),
+        ("swap --p 4097 --q 1 --dense", "the dense 4097 x 4097 swap would take 256.1 MiB, over the 256 MiB limit"),
+    ],
+    "decompose": [
+        ("decompose --p 0 --q 2", "--p and --q must be at least 1"),
+        ("decompose --p 2 --q 2 --threshold -1", "--threshold must be finite and non-negative"),
+        ("decompose --p 2 --q 2 --threshold nan", "--threshold must be finite and non-negative"),
+        ("decompose --p 2 --q 2 --threshold inf", "--threshold must be finite and non-negative"),
+        ("decompose --p 2 --q 65",
+         "a (4225, 4225) complex array (the largest decompose could build at factor size 65) "
+         "would take 272.4 MiB, over the 256 MiB limit"),
+        ("decompose --p 2 --q 2 --input missing.json",
+         "cannot read matrix file 'missing.json': [Errno 2] No such file or directory: 'missing.json'"),
+        ("decompose --p 1 --q 1 --input truncated.json",
+         "matrix file 'truncated.json' is not valid JSON: Expecting ',' delimiter: line 1 column 22 (char 21)"),
+        ("decompose --p 1 --q 1 --input list.json", "matrix file 'list.json' must hold a JSON object"),
+        ("decompose --p 1 --q 1 --input nokey.json", "matrix file 'nokey.json' is missing key 'entries'"),
+        ("decompose --p 1 --q 1 --input dims.json", "matrix file 'dims.json' has invalid dimensions"),
+        ("decompose --p 1 --q 1 --input count.json", "matrix file 'count.json' must hold rows*cols = 1 entries"),
+        ("decompose --p 1 --q 1 --input pairs.json", "matrix file 'pairs.json': entries must be [re, im] pairs"),
+        ("decompose --p 1 --q 1 --input huge.json", "matrix file 'huge.json': an entry is too large for a float"),
+        ("decompose --p 1 --q 1 --input inf.json", "matrix file 'inf.json': matrix entries must be finite"),
+        ("decompose --p 3 --q 2 --input square.json", "matrix file 'square.json' is 2 x 2, expected 6 x 6"),
+    ],
+    "verify": [
+        ("verify --n-max 1", "--n-max must be at least 2"),
+        ("verify --n-max 65", "--n-max must be at most 64 (the largest size the checks are tested at)"),
+        ("verify --n-max 3 --tol nan", "--tol must be finite and non-negative"),
+        ("verify --n-max 3 --tol -1", "--tol must be finite and non-negative"),
+        ("verify --n-max 3 --tol inf", "--tol must be finite and non-negative"),
+    ],
+}
+MATRIX_FILES = {
+    "square.json": '{"rows": 2, "cols": 2, "entries": [[1, 0], [0, 0], [0, 0], [1, 0]]}',
+    "truncated.json": '{"rows": 1, "cols": 1',
+    "list.json": "[1, 2]",
+    "nokey.json": '{"rows": 1, "cols": 1}',
+    "dims.json": '{"rows": 0, "cols": 1, "entries": []}',
+    "count.json": '{"rows": 1, "cols": 1, "entries": []}',
+    "pairs.json": '{"rows": 1, "cols": 1, "entries": [[1, "0"]]}',
+    "huge.json": '{"rows": 1, "cols": 1, "entries": [[1%s, 0]]}' % ("0" * 400),
+    "inf.json": '{"rows": 1, "cols": 1, "entries": [[Infinity, 0]]}',
+}
+
+
+@pytest.mark.parametrize("command", REFUSALS)
+def test_every_refusal_raises_input_error_and_main_prints_one_line(command, tmp_path, monkeypatch, capsys):
+    for name, text in MATRIX_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    for line, message in REFUSALS[command]:
+        args = cli.build_parser().parse_args(line.split())
+        with pytest.raises(cli.InputError) as info:
+            args.func(args)
+        assert str(info.value) == message, line
+        assert cli.main(line.split()) == 2, line
+        assert capsys.readouterr() == ("", f"tcm: error: {message}\n"), line
 
 
 class TestUsage:

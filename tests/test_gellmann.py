@@ -153,6 +153,16 @@ class TestBasis:
         assert after != before
         assert len({before, after}) == 2
 
+    @pytest.mark.parametrize("cached,n", [(basis, 3), (real_operands, 4)], ids=["basis", "real_operands"])
+    def test_a_numpy_integer_shares_the_cache_entry_of_its_int(self, cached, n):
+        # one entry per size: a second would hold a second copy of the arrays
+        for _ in range(2):
+            cached.cache_clear()
+            first = cached(np.int64(n))
+            assert first is cached(n) is cached(np.int32(n))
+        if cached is basis:
+            assert type(first.n) is int
+
 
 def generator(n, label):
     kind, i, j, d = label_fields(label)
@@ -378,6 +388,14 @@ class TestExpand:
     def test_non_square(self):
         with pytest.raises(ValueError):
             expand_in_basis(np.zeros((2, 3)))
+
+    def test_coefficients_hash_and_compare_by_identity(self):
+        # a generated __eq__/__hash__ would compare the ndarray field and raise
+        m = np.arange(9.0).reshape(3, 3)
+        first, second = expand_in_basis(m), expand_in_basis(m)
+        assert first == first and first != second
+        assert hash(first) == hash(first)
+        assert len({first, second, first}) == 2
 
 
 class TestReconstruct:

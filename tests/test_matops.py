@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+import tcm
 from loop_reference import diagonal_generator, elementary, realign, symmetric_generator, unrealign
-from tcm.gellmann import basis
-from tcm.matops import as_matrix, hs_inner, identity, max_abs_diff
+from tcm.gellmann import basis, real_operands
+from tcm.matops import as_matrix, dimension, hs_inner, identity, max_abs_diff
 from tcm.product import decompose_product
 
 
@@ -37,6 +38,73 @@ class TestIdentity:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             identity(0)
+
+
+class TestDimension:
+    @pytest.mark.parametrize("n", [3, np.int64(3), np.int32(3), np.uint8(3), np.intp(3)])
+    def test_integers_pass_as_a_plain_int(self, n):
+        assert type(dimension(n, 1)) is int
+        assert dimension(n, 2) == 3
+
+    @pytest.mark.parametrize(
+        "n,least,words",
+        [
+            (True, 1, "integer"),
+            (np.bool_(True), 1, "integer"),
+            (2.5, 1, "integer"),
+            (3.0, 1, "integer"),
+            (np.float64(3.0), 1, "integer"),
+            ("3", 1, "integer"),
+            (np.array(3), 1, "integer"),
+            (np.arange(3), 1, "integer"),
+            (None, 1, "integer"),
+            (0, 1, "positive"),
+            (np.int64(-4), 1, "positive"),
+            (1, 2, "at least 2"),
+            (np.uint8(1), 2, "at least 2"),
+        ],
+    )
+    def test_anything_else_raises_one_line(self, n, least, words):
+        with pytest.raises(ValueError, match=words) as info:
+            dimension(n, least)
+        assert "\n" not in str(info.value)
+
+
+# every public size argument, as a call that puts ``v`` in its place
+SIZE_ARGUMENTS = {
+    "basis": lambda v: tcm.basis(v),
+    "real_operands": lambda v: real_operands(v),
+    "extended_labels": lambda v: tcm.extended_labels(v),
+    "swap_by_formula p": lambda v: tcm.swap_by_formula(v, 3),
+    "swap_by_formula q": lambda v: tcm.swap_by_formula(3, v),
+    "swap_by_rule p": lambda v: tcm.swap_by_rule(v, 3),
+    "swap_by_rule q": lambda v: tcm.swap_by_rule(3, v),
+    "SwapMatrix p": lambda v: tcm.SwapMatrix(v, 3, np.arange(9)),
+    "SwapMatrix q": lambda v: tcm.SwapMatrix(3, v, np.arange(9)),
+    "ProductCoefficients p": lambda v: tcm.ProductCoefficients(v, 2, np.zeros((9, 4))),
+    "ProductCoefficients q": lambda v: tcm.ProductCoefficients(2, v, np.zeros((4, 9))),
+    "decompose_product p": lambda v: tcm.decompose_product(np.eye(6), v, 2),
+    "decompose_product q": lambda v: tcm.decompose_product(np.eye(6), 2, v),
+    "expand_in_basis": lambda v: tcm.expand_in_basis(np.eye(3), n=v),
+    "reconstruct": lambda v: tcm.reconstruct(tcm.BasisCoefficients(n=v, c0=1.0, c=np.zeros(8))),
+    "closed_form_swap_coefficients": lambda v: tcm.closed_form_swap_coefficients(v),
+    "identity": lambda v: tcm.identity(v),
+    "verify_closed_form": lambda v: tcm.verify_closed_form(v),
+    "identity_errors": lambda v: tcm.identity_errors(v),
+    "offdiag_family_sum": lambda v: tcm.offdiag_family_sum(v),
+    "offdiag_family_reference": lambda v: tcm.offdiag_family_reference(v),
+    "diagonal_family_sum": lambda v: tcm.diagonal_family_sum(v),
+    "diagonal_family_reference": lambda v: tcm.diagonal_family_reference(v),
+}
+
+
+@pytest.mark.parametrize("call", SIZE_ARGUMENTS.values(), ids=SIZE_ARGUMENTS.keys())
+def test_a_size_that_is_no_integer_raises_one_line(call):
+    for value in (2.5, 3.0, True, "3"):
+        with pytest.raises(ValueError) as info:
+            call(value)
+        assert "\n" not in str(info.value), value
+    call(np.int64(3))  # a numpy integer is an integer
 
 
 class TestElementary:

@@ -146,6 +146,13 @@ class TestDecompose:
         with pytest.raises(ValueError):
             ProductCoefficients(p=2, q=2, grid=np.zeros((3, 4)))
 
+    def test_coefficients_hash_and_compare_by_identity(self):
+        # a generated __eq__/__hash__ would compare the ndarray field and raise
+        first, second = decompose_product(identity(4), 2, 2), decompose_product(identity(4), 2, 2)
+        assert first == first and first != second
+        assert hash(first) == hash(first)
+        assert len({first, second, first}) == 2
+
     def test_grid_is_an_owned_copy(self):
         # writing through a view of the caller's array must not reach the grid
         a = np.zeros((4, 4), dtype=complex)
@@ -221,9 +228,10 @@ class TestClosedForm:
         expected = closed_form_swap_coefficients(n).grid
         assert np.max(np.abs(grid - expected)) <= 1e-10
 
-    @pytest.mark.parametrize("n", [2, 3, 5, 12])
+    @pytest.mark.parametrize("n", [2, 3, 5, 12, np.int64(4)])
     def test_verify_report(self, n):
         report = verify_closed_form(n, abs_eps=1e-10)
+        assert type(report.n) is int and report.n == n
         assert report.passed
         assert report.max_error <= 1e-12
 

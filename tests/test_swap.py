@@ -219,6 +219,13 @@ class TestSwapMatrixType:
             SwapMatrix(p=1, q=2, perm=[0.0, 1.9])
         assert "\n" not in str(info.value)
 
+    def test_swaps_hash_and_compare_by_identity(self):
+        # a generated __eq__/__hash__ would compare the ndarray field and raise
+        u, v = swap_by_formula(2, 3), swap_by_formula(2, 3)
+        assert u == u and u != v
+        assert hash(u) == hash(u)
+        assert len({u, v, u}) == 2
+
     def test_perm_read_only(self):
         u = swap_by_formula(2, 2)
         with pytest.raises(ValueError):
