@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error,
 3 internal consistency failure (a broken walk checkpoint, or rule and
-formula constructions that disagree).  Every refusal, including a request
-whose largest array would exceed ``_MAX_ARRAY_BYTES`` (refused before
-anything is built), raises InputError; main alone turns it into exit 2.
+formula constructions that disagree).  Every refusal (argparse's, and a
+request whose largest array would exceed ``_MAX_ARRAY_BYTES``, before
+anything is built) raises InputError; main alone turns it into exit 2.
 Complex numbers serialize as [re, im] pairs in JSON and as re,im column
 pairs in CSV; matrices in JSON always use the object form
 ``{"rows": R, "cols": C, "entries": [[re, im], ...]}`` (row-major), which
@@ -60,13 +60,14 @@ def _check_size(array, cells, dtype):
 # output
 #
 # Output goes to sys.stdout (looked up at each write, so redirected
-# capture works) about _CHUNK entries at a time.  In each chunk every
-# distinct value is formatted once and indexed back into place, and the
-# text is joined from fixed templates over numpy object arrays.  The bytes
+# capture works) about _CHUNK entries at a time, joined from fixed
+# templates over numpy object arrays.  Dense matrices are rendered from
+# their sparse source: a swap row's 1 or a generator's triplets spliced
+# into the text of zeros, each distinct value formatted once.  The bytes
 # are those of json.dump(indent=2), csv.writer and one print per line.
 
 _CHUNK = 1 << 16  # entries formatted and written at a time
-_LIST = "\x00"  # stands for a pre-rendered list in a JSON payload; argv strings hold no NUL
+_LIST = _PREFIX = "\x00"  # marks a pre-rendered JSON list or a csv record prefix; argv and numbers hold no NUL
 _LIST_TOKEN = json.dumps(_LIST)
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -104,6 +105,11 @@ def _json_pair(depth):
     """Formatter of a complex value as json.dump(indent=2) writes its ``[re, im]`` list at ``depth``."""
     inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
     return lambda z: f"[{inner}{_json_float(z.real)},{inner}{_json_float(z.imag)}{outer}]"
+
+
+def _json_lead(depth):
+    """What json.dump(indent=2) writes between two items of a list at ``depth``."""
+    return ",\n" + "  " * depth
 
 
 def _csv_field(text):
@@ -159,59 +165,82 @@ def _write_records(count, per_record, columns, lead=""):
     """Write ``count`` records, about _CHUNK entries per write.
 
     ``columns(start, stop)`` gives the text columns (see :func:`_concat`)
-    of records start..stop-1, each holding ``per_record`` entries.  Given
-    records of one entry, ``lead`` leads every record but the first.
+    of records start..stop-1, each holding ``per_record`` entries.
+    ``lead`` leads every record but the first.  No chunk's text outlives its write.
     """
     for start, stop in _chunks(count, per_record):
-        text = _concat(lead, *columns(start, stop))
-        sys.stdout.write(text[len(lead):] if start == 0 else text)
+        sys.stdout.write(_concat(lead, *columns(start, stop))[0 if start else len(lead):])
+
+
+def _zeros(heads, zero, tail=""):
+    """``zero`` after each of ``heads``, then ``tail``; and the offset of each ``zero``."""
+    ends = np.cumsum([len(head) + len(zero) for head in heads])
+    return zero.join(heads) + zero + tail, ends - len(zero)
+
+
+def _spliced(template, starts, ends, texts):
+    """``template`` with its ascending spans ``starts[t]:ends[t]`` replaced by ``texts[t]``."""
+    parts, end = [], 0
+    for start, stop, text in zip(starts, ends, texts):
+        parts += template[end:start], text
+        end = stop
+    parts.append(template[end:])
+    return "".join(parts)
 
 
 def _write_json(payload, lists):
     """Write ``json.dumps(payload, indent=2)`` and a newline.
 
     Each ``_LIST`` value in ``payload`` stands, in document order, for one
-    of ``lists``: a ``(depth, count, columns)`` triple for a list of
-    ``count`` items at nesting ``depth`` whose text ``columns`` are as for
-    :func:`_write_records`.
+    of ``lists``: a ``(depth, count, per_record, columns)`` tuple for a list
+    at nesting ``depth`` of ``count`` records of ``per_record`` items, whose
+    text ``columns`` are as for :func:`_write_records`.
     """
     out = sys.stdout
     pieces = json.dumps(payload, indent=2).split(_LIST_TOKEN)
-    for piece, (depth, count, columns) in zip(pieces, lists):
+    for piece, (depth, count, per_record, columns) in zip(pieces, lists):
         out.write(piece)
         if count == 0:
             out.write("[]")
             continue
-        lead = ",\n" + "  " * depth
-        out.write("[" + lead[1:])
-        _write_records(count, 1, columns, lead)
+        out.write("[\n" + "  " * depth)
+        _write_records(count, per_record, columns, _json_lead(depth))
         out.write(f"\n{'  ' * (depth - 1)}]")
     out.write(pieces[-1] + "\n")
 
 
-def _json_entries(m, depth):
-    """The ``_write_json`` list of the entries of matrix ``m``, row-major, at ``depth``."""
-    flat = m.reshape(-1)
-    fmt = _json_pair(depth)
-    return depth, flat.size, lambda a, b: [_texts(flat[a:b], fmt)]
-
-
-def _write_pretty(m):
-    """Write matrix ``m`` a row per line, each cell after two spaces and
-    right-aligned to the widest cell of ``m``."""
-    rows, cols = m.shape
-    chunks = _chunks(rows, cols)
-    parts = [_formatted(m[a:b], _fmt_complex) for a, b in chunks]
-    width = max(len(text) for texts, _ in parts for text in texts)
-    ends = _objects([""] * (cols - 1) + ["\n"])
-    for texts, codes in parts:
-        cells = _objects("  " + text.rjust(width) for text in texts)
-        sys.stdout.write(_concat(cells[codes], ends))
-
-
 def _write_basis(fmt, b):
-    """Write the generators of the basis ``b`` in ``fmt`` (json, csv or pretty)."""
+    """Write the generators of the basis ``b`` in ``fmt`` (json, csv or pretty),
+    each spliced from its triplets into the text of an n x n zero matrix."""
     n = b.n
+    k, i, j, value = b.triplets
+    # by generator and row-major within each, so that the spans ascend
+    order = np.argsort((k * n + i) * n + j, kind="stable")
+    k, cell, value = k[order], (i * n + j)[order], value[order]
+    lo = np.searchsorted(k, np.arange(len(b) + 1)).tolist()  # generator g holds lo[g]..lo[g + 1] - 1
+    fmt_value = {"json": _json_pair(5), "csv": _csv_pair, "pretty": _fmt_complex}[fmt]
+    distinct, codes = _formatted(value, fmt_value)
+    lengths = np.array([len(text) for text in distinct], dtype=np.int64)[codes]
+    texts = distinct[codes].tolist()
+    if fmt == "pretty":
+        # a cell is two spaces and its text right-aligned to its generator's widest
+        widths = np.ones(len(b), dtype=np.int64)
+        np.maximum.at(widths, k, lengths)
+        w = widths[k] + 2
+        ends = cell // n * (n * w + 1) + (cell % n + 1) * w
+        starts, widths = ends - lengths, widths.tolist()
+    else:
+        heads = ([""] + [_json_lead(5)] * (n * n - 1) if fmt == "json" else
+                 [f"{_PREFIX}{r},{c}," for r in range(1, n + 1) for c in range(1, n + 1)])
+        template, starts = _zeros(heads, fmt_value(0j))
+        starts = starts[cell]
+        ends = starts + len(fmt_value(0j))
+    starts, ends = starts.tolist(), ends.tolist()
+
+    def spliced(g, template):
+        at = slice(lo[g], lo[g + 1])
+        return _spliced(template, starts[at], ends[at], texts[at])
+
     # ordinal, kind and the indices i, j, d of each generator; 0 marks an index it lacks
     table = list(enumerate(zip(*(a.tolist() for a in b.table)), start=1))
     if fmt == "json":
@@ -220,20 +249,16 @@ def _write_basis(fmt, b):
              "matrix": {"rows": n, "cols": n, "entries": _LIST}}
             for ordinal, (kind, *ijd) in table
         ]
-        _write_json(
-            {"command": "basis", "n": n, "generators": generators},
-            [_json_entries(mat, 5) for mat in b.matrices],
-        )
-    elif fmt == "csv":
+        _write_json({"command": "basis", "n": n, "generators": generators},
+                    ((5, 1, n * n, lambda a, z, g=g: [_objects([spliced(g, template)])]) for g in range(len(b))))
+        return
+    if fmt == "csv":
         sys.stdout.write(_csv_row(["ordinal", "kind", "i", "j", "d", "row", "col", "re", "im"]) + "\r\n")
-        labels = _objects(_csv_row([ordinal, kind, *(v or "" for v in ijd)]) + "," for ordinal, (kind, *ijd) in table)
-        cells = _objects(f"{r},{c}," for r in range(1, n + 1) for c in range(1, n + 1))
-        mats = b.matrices.reshape(len(b), n * n)
-        _write_records(len(b), n * n, lambda a, z: [labels[a:z, None], cells, _texts(mats[a:z], _csv_pair)])
+        prefixes = [f"{ordinal},{kind},{i or ''},{j or ''},{d or ''}," for ordinal, (kind, i, j, d) in table]
+        generator = lambda g: spliced(g, template).replace(_PREFIX, prefixes[g])
     else:
-        for ordinal, (label, mat) in enumerate(b, start=1):
-            sys.stdout.write(f"[{ordinal}] {label}\n")
-            _write_pretty(mat)
+        generator = lambda g: f"[{g + 1}] {b.labels[g]}\n" + spliced(g, ((" " * (widths[g] + 1) + "0") * n + "\n") * n)
+    _write_records(len(b), n * n, lambda a, z: [_objects(map(generator, range(a, z)))])
 
 
 def _write_swap(fmt, u, method, methods_agree, dense):
@@ -242,7 +267,6 @@ def _write_swap(fmt, u, method, methods_agree, dense):
     p, q, size = u.p, u.q, u.size
     # the 1 of row k + 1 sits in column cols[k]
     cols = u.one_positions()[:, 1]
-    m = u.dense() if dense else None
     out = sys.stdout
 
     def ones(a, b):
@@ -250,21 +274,31 @@ def _write_swap(fmt, u, method, methods_agree, dense):
         formats its own, so no text is held for the whole swap."""
         return zip(range(a + 1, b + 1), cols[a:b].tolist())
 
+    if dense:
+        fmt_value = {"json": _json_pair(3), "csv": _csv_pair, "pretty": _fmt_complex}[fmt]
+        zero, one = fmt_value(0j), fmt_value(1 + 0j)  # of one length in every format
+        heads = ([""] + [_json_lead(3)] * (size - 1) if fmt == "json" else
+                 [f"{_PREFIX}{c}," for c in range(1, size + 1)] if fmt == "csv" else ["  "] * size)
+        template, starts = _zeros(heads, zero, "\n" if fmt == "pretty" else "")
+        starts = starts[cols - 1].tolist()
+
+        def rows(a, b):  # only a csv template holds a _PREFIX
+            return [_objects(_spliced(template, [s], [s + len(one)], [one]).replace(_PREFIX, f"{r},")
+                             for r, s in enumerate(starts[a:b], start=a + 1))]
+
     if fmt == "json":
         payload = {"command": "swap", "p": p, "q": q, "method": method, "size": size, "positions": _LIST}
-        lists = [(2, size, lambda a, b: [_objects(f"[\n      {r},\n      {c}\n    ]" for r, c in ones(a, b))])]
+        lists = [(2, size, 1, lambda a, b: [_objects(f"[\n      {r},\n      {c}\n    ]" for r, c in ones(a, b))])]
         if methods_agree is not None:
             payload["methods_agree"] = methods_agree
         if dense:
             payload["dense"] = {"rows": size, "cols": size, "entries": _LIST}
-            lists.append(_json_entries(m, 3))
+            lists.append((3, size, size, rows))
         _write_json(payload, lists)
     elif fmt == "csv":
         if dense:
             out.write(_csv_row(["row", "col", "re", "im"]) + "\r\n")
-            # the gate keeps a dense size at most 4096, so its columns are few
-            fields = _objects(f"{c}," for c in range(1, size + 1))
-            _write_records(size, size, lambda a, b: [fields[a:b, None], fields, _texts(m[a:b], _csv_pair)])
+            _write_records(size, size, rows)
         else:
             out.write(_csv_row(["row", "col"]) + "\r\n")
             _write_records(size, 1, lambda a, b: [_objects(f"{r},{c}\r\n" for r, c in ones(a, b))])
@@ -275,7 +309,7 @@ def _write_swap(fmt, u, method, methods_agree, dense):
         if methods_agree is not None:
             out.write("rule and formula constructions agree\n")
         if dense:
-            _write_pretty(m)
+            _write_records(size, size, rows)
 
 
 def _write_decompose(fmt, p, q, source, threshold, grid, left, right):
@@ -293,7 +327,7 @@ def _write_decompose(fmt, p, q, source, threshold, grid, left, right):
         pair = _json_pair(3)
         payload = {"command": "decompose", "p": p, "q": q, "source": source, "threshold": threshold,
                    "left_labels": left, "right_labels": right, "entries": _LIST}
-        _write_json(payload, [(2, count, lambda a, b: [
+        _write_json(payload, [(2, count, 1, lambda a, b: [
             by_left[rows[a:b]], by_right[cols[a:b]], left_names[rows[a:b]],
             right_names[cols[a:b]], _texts(values[a:b], pair), "\n    }",
         ])])
@@ -459,8 +493,13 @@ def cmd_verify(args):
     return EXIT_VERIFY_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse's refusals, the subparsers' too, end in main as exit 2
+        raise InputError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tcm",
         description="Tensor commutation (swap) matrices, generator bases, and "
         "product-basis decompositions.",
@@ -524,8 +563,8 @@ def _internal_failure(message):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except InputError as exc:
         print(f"tcm: error: {exc}", file=sys.stderr)

@@ -74,6 +74,13 @@ def run_cli(*args, env=None):
     return subprocess.run(cmd, capture_output=True, text=True, env=env)
 
 
+class Discard:
+    """A stdout that keeps nothing it is given."""
+
+    def write(self, text):
+        return len(text)
+
+
 def matrix_from_obj(obj):
     data = np.array([complex(re, im) for re, im in obj["entries"]])
     return data.reshape(obj["rows"], obj["cols"])
@@ -209,10 +216,6 @@ class TestSwapCommand:
         # Text for the whole swap took about 230 bytes an entry; the perm,
         # the ones' columns and one chunk's text take under 64.  csv and
         # pretty format their chunks the same way.
-        class Discard:
-            def write(self, text):
-                return len(text)
-
         entries = 1000 * 1000
         monkeypatch.setattr(sys, "stdout", Discard())
         tracemalloc.start()
@@ -222,6 +225,23 @@ class TestSwapCommand:
         finally:
             tracemalloc.stop()
         assert peak < 64 * entries
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+@pytest.mark.parametrize("args, dense_cells", [("swap --p 48 --q 48 --dense", (48 * 48) ** 2), ("basis --n 48", 48 ** 4)],
+                         ids=["swap-48x48-dense", "basis-48"])
+def test_dense_output_peaks_below_an_eighth_of_the_dense_array(args, dense_cells, fmt, monkeypatch):
+    # rendered from the permutation or the triplets: the (pq, pq) or the
+    # (n^2, n, n) complex array is never built
+    basis.cache_clear()
+    monkeypatch.setattr(sys, "stdout", Discard())
+    tracemalloc.start()
+    try:
+        assert cli.main([*args.split(), "--format", fmt]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_cells * np.dtype(np.complex128).itemsize / 8
 
 
 class TestDecomposeCommand:
@@ -634,3 +654,23 @@ class TestUsage:
     def test_missing_required_flag_exits_2(self):
         result = run_cli("basis")
         assert result.returncode == 2
+
+    # argparse's own refusals end as the commands' do: one line through main
+    @pytest.mark.parametrize("args, message", [
+        ("swap --p x --q 2", "argument --p: invalid int value: 'x'"),
+        ("frobnicate", "argument command: invalid choice: 'frobnicate'"),
+        ("", "the following arguments are required: command"),
+        ("swap --p 2", "the following arguments are required: --q"),
+    ])
+    def test_argparse_refusal_is_one_stderr_line(self, args, message):
+        result = run_cli(*args.split())
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith(f"tcm: error: {message}")
+
+    def test_help_exits_0(self):
+        result = run_cli("--help")
+        assert result.returncode == 0
+        assert result.stdout.startswith("usage: tcm ")
+        assert result.stderr == ""

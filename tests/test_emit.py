@@ -47,11 +47,15 @@ def complex_array(draw, shape):
 
 @st.composite
 def bases(draw):
-    # triplets for every entry of every generator, so each one is a random value
-    n = draw(st.integers(2, 3))
-    values = complex_array(draw, (n * n - 1, n, n))
-    k, i, j = (a.ravel() for a in np.indices(values.shape))
-    return GellMannBasis(n=n, triplets=Triplets(k, i, j, values.ravel()))
+    # triplets for a random set of cells, in a random order: every cell can
+    # hold a random value at n = 2, up to 3 n^2 cells above, and n = 4, 5
+    # number the generators past 9
+    n = draw(st.integers(2, 5))
+    cells = (n * n - 1) * n * n
+    flat = draw(st.sets(st.integers(0, cells - 1), max_size=min(cells, 3 * n * n)))
+    flat = np.array(draw(st.permutations(sorted(flat))), dtype=np.int64)
+    k, i, j = np.unravel_index(flat, (n * n - 1, n, n))
+    return GellMannBasis(n=n, triplets=Triplets(k, i, j, complex_array(draw, flat.shape)))
 
 
 @st.composite
@@ -78,6 +82,22 @@ def test_swap_matches_reference(fmt, p, q, rule, method, dense, chunk):
     u = swap_by_rule(p, q) if rule else swap_by_formula(p, q)
     agree = True if method == "both" else None
     assert_same_output(chunk, cli._write_swap, ref.write_swap, fmt, u, method, agree, dense)
+
+
+# rows, columns and ordinals of two digits at n = 10, ordinals of three at
+# n = 11; swap indices of two digits at 3 (x) 4 and of three at 10 (x) 10
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
+@pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+@pytest.mark.parametrize("n", [10, 11])
+def test_basis_past_the_digit_boundaries_matches_reference(n, fmt, chunk):
+    assert_same_output(chunk, cli._write_basis, ref.write_basis, fmt, basis(n))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
+@pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+@pytest.mark.parametrize("p, q", [(3, 4), (10, 10)])
+def test_dense_swap_past_the_digit_boundaries_matches_reference(p, q, fmt, chunk):
+    assert_same_output(chunk, cli._write_swap, ref.write_swap, fmt, swap_by_formula(p, q), "formula", None, True)
 
 
 @settings(max_examples=200, deadline=None)
