@@ -60,40 +60,17 @@ def _check_size(array, cells, dtype):
 # output
 #
 # Output goes to sys.stdout (looked up at each write, so redirected
-# capture works) about _CHUNK entries at a time, joined from fixed
-# templates over numpy object arrays.  Dense matrices are rendered from
-# their sparse source: a swap row's 1 or a generator's triplets spliced
-# into the text of zeros, each distinct value formatted once.  The bytes
-# are those of json.dump(indent=2), csv.writer and one print per line.
+# capture works) about _CHUNK entries at a time: each writer gives the
+# text of the records of one chunk, every value formatted in the record
+# that holds it.  Dense matrices are rendered from their sparse source: a
+# swap row's 1 or a generator's triplets spliced into the text of zeros.
+# The bytes are those of json.dump(indent=2), csv.writer and one print
+# per line.
 
 _CHUNK = 1 << 16  # entries formatted and written at a time
 _LIST = _PREFIX = "\x00"  # marks a pre-rendered JSON list or a csv record prefix; argv and numbers hold no NUL
 _LIST_TOKEN = json.dumps(_LIST)
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _objects(texts):
-    return np.array(list(texts), dtype=object)
-
-
-def _formatted(a, fmt):
-    """``fmt(z)`` of each distinct value of the complex array ``a``, as an
-    object array, and each entry's index into it (an array of a's shape).
-
-    Values are told apart by bit pattern, so ``-0.0`` keeps its sign.
-    """
-    bits = np.ascontiguousarray(a, dtype=np.complex128).view(np.uint64).reshape(-1, 2)
-    re, re_codes = np.unique(bits[:, 0], return_inverse=True)
-    im, im_codes = np.unique(bits[:, 1], return_inverse=True)
-    pairs, codes = np.unique(re_codes * len(im) + im_codes, return_inverse=True)
-    distinct = np.stack([re[pairs // len(im)], im[pairs % len(im)]], axis=-1).view(np.complex128)
-    return _objects(map(fmt, distinct.ravel().tolist())), codes.reshape(np.shape(a))
-
-
-def _texts(a, fmt):
-    """``fmt(z)`` of every entry of the complex array ``a``, as an object array of a's shape."""
-    texts, codes = _formatted(a, fmt)
-    return texts[codes]
 
 
 def _json_float(x):
@@ -119,10 +96,6 @@ def _csv_field(text):
     return text
 
 
-def _csv_row(fields):
-    return ",".join(_csv_field(str(f)) for f in fields)
-
-
 def _csv_pair(z):
     return f"{z.real!r},{z.imag!r}\r\n"
 
@@ -142,34 +115,13 @@ def _fmt_complex(z):
     return f"{_fmt_real(re)}{sign}{_fmt_real(abs(im))}i"
 
 
-def _concat(*columns):
-    """Join text columns element by element, in row-major order.
-
-    Each column is a str or an object array of str; all broadcast to one
-    shape, and each element contributes its column texts in turn.
-    """
-    shape = np.broadcast_shapes(*(np.shape(c) for c in columns))
-    parts = np.empty(shape + (len(columns),), dtype=object)
-    for k, column in enumerate(columns):
-        parts[..., k] = column
-    return "".join(parts.ravel().tolist())
-
-
-def _chunks(count, per_record):
-    """(start, stop) ranges over ``count`` records of about _CHUNK entries each."""
+def _write_records(count, per_record, texts, lead=""):
+    """Write ``count`` records of ``per_record`` entries, about _CHUNK entries per write:
+    ``texts(start, stop)`` gives the text of each of records start..stop-1, and
+    ``lead`` goes between two records.  No chunk's text outlives its write."""
     step = max(1, _CHUNK // per_record)
-    return [(start, min(start + step, count)) for start in range(0, count, step)]
-
-
-def _write_records(count, per_record, columns, lead=""):
-    """Write ``count`` records, about _CHUNK entries per write.
-
-    ``columns(start, stop)`` gives the text columns (see :func:`_concat`)
-    of records start..stop-1, each holding ``per_record`` entries.
-    ``lead`` leads every record but the first.  No chunk's text outlives its write.
-    """
-    for start, stop in _chunks(count, per_record):
-        sys.stdout.write(_concat(lead, *columns(start, stop))[0 if start else len(lead):])
+    for start in range(0, count, step):
+        sys.stdout.write((lead if start else "") + lead.join(texts(start, min(start + step, count))))
 
 
 def _zeros(heads, zero, tail=""):
@@ -192,19 +144,19 @@ def _write_json(payload, lists):
     """Write ``json.dumps(payload, indent=2)`` and a newline.
 
     Each ``_LIST`` value in ``payload`` stands, in document order, for one
-    of ``lists``: a ``(depth, count, per_record, columns)`` tuple for a list
+    of ``lists``: a ``(depth, count, per_record, texts)`` tuple for a list
     at nesting ``depth`` of ``count`` records of ``per_record`` items, whose
-    text ``columns`` are as for :func:`_write_records`.
+    ``texts`` are as for :func:`_write_records`.
     """
     out = sys.stdout
     pieces = json.dumps(payload, indent=2).split(_LIST_TOKEN)
-    for piece, (depth, count, per_record, columns) in zip(pieces, lists):
+    for piece, (depth, count, per_record, texts) in zip(pieces, lists):
         out.write(piece)
         if count == 0:
             out.write("[]")
             continue
         out.write("[\n" + "  " * depth)
-        _write_records(count, per_record, columns, _json_lead(depth))
+        _write_records(count, per_record, texts, _json_lead(depth))
         out.write(f"\n{'  ' * (depth - 1)}]")
     out.write(pieces[-1] + "\n")
 
@@ -219,11 +171,10 @@ def _write_basis(fmt, b):
     k, cell, value = k[order], (i * n + j)[order], value[order]
     lo = np.searchsorted(k, np.arange(len(b) + 1)).tolist()  # generator g holds lo[g]..lo[g + 1] - 1
     fmt_value = {"json": _json_pair(5), "csv": _csv_pair, "pretty": _fmt_complex}[fmt]
-    distinct, codes = _formatted(value, fmt_value)
-    lengths = np.array([len(text) for text in distinct], dtype=np.int64)[codes]
-    texts = distinct[codes].tolist()
+    texts = [fmt_value(z) for z in value.tolist()]
     if fmt == "pretty":
         # a cell is two spaces and its text right-aligned to its generator's widest
+        lengths = np.array([len(text) for text in texts], dtype=np.int64)
         widths = np.ones(len(b), dtype=np.int64)
         np.maximum.at(widths, k, lengths)
         w = widths[k] + 2
@@ -250,15 +201,15 @@ def _write_basis(fmt, b):
             for ordinal, (kind, *ijd) in table
         ]
         _write_json({"command": "basis", "n": n, "generators": generators},
-                    ((5, 1, n * n, lambda a, z, g=g: [_objects([spliced(g, template)])]) for g in range(len(b))))
+                    ((5, 1, n * n, lambda a, z, g=g: [spliced(g, template)]) for g in range(len(b))))
         return
     if fmt == "csv":
-        sys.stdout.write(_csv_row(["ordinal", "kind", "i", "j", "d", "row", "col", "re", "im"]) + "\r\n")
+        sys.stdout.write("ordinal,kind,i,j,d,row,col,re,im\r\n")
         prefixes = [f"{ordinal},{kind},{i or ''},{j or ''},{d or ''}," for ordinal, (kind, i, j, d) in table]
         generator = lambda g: spliced(g, template).replace(_PREFIX, prefixes[g])
     else:
         generator = lambda g: f"[{g + 1}] {b.labels[g]}\n" + spliced(g, ((" " * (widths[g] + 1) + "0") * n + "\n") * n)
-    _write_records(len(b), n * n, lambda a, z: [_objects(map(generator, range(a, z)))])
+    _write_records(len(b), n * n, lambda a, z: [generator(g) for g in range(a, z)])
 
 
 def _write_swap(fmt, u, method, methods_agree, dense):
@@ -283,12 +234,12 @@ def _write_swap(fmt, u, method, methods_agree, dense):
         starts = starts[cols - 1].tolist()
 
         def rows(a, b):  # only a csv template holds a _PREFIX
-            return [_objects(_spliced(template, [s], [s + len(one)], [one]).replace(_PREFIX, f"{r},")
-                             for r, s in enumerate(starts[a:b], start=a + 1))]
+            return [_spliced(template, [s], [s + len(one)], [one]).replace(_PREFIX, f"{r},")
+                    for r, s in enumerate(starts[a:b], start=a + 1)]
 
     if fmt == "json":
         payload = {"command": "swap", "p": p, "q": q, "method": method, "size": size, "positions": _LIST}
-        lists = [(2, size, 1, lambda a, b: [_objects(f"[\n      {r},\n      {c}\n    ]" for r, c in ones(a, b))])]
+        lists = [(2, size, 1, lambda a, b: [f"[\n      {r},\n      {c}\n    ]" for r, c in ones(a, b)])]
         if methods_agree is not None:
             payload["methods_agree"] = methods_agree
         if dense:
@@ -297,14 +248,14 @@ def _write_swap(fmt, u, method, methods_agree, dense):
         _write_json(payload, lists)
     elif fmt == "csv":
         if dense:
-            out.write(_csv_row(["row", "col", "re", "im"]) + "\r\n")
+            out.write("row,col,re,im\r\n")
             _write_records(size, size, rows)
         else:
-            out.write(_csv_row(["row", "col"]) + "\r\n")
-            _write_records(size, 1, lambda a, b: [_objects(f"{r},{c}\r\n" for r, c in ones(a, b))])
+            out.write("row,col\r\n")
+            _write_records(size, 1, lambda a, b: [f"{r},{c}\r\n" for r, c in ones(a, b)])
     else:
         out.write(f"swap {p} (x) {q}: {size} x {size} permutation matrix\nones at (row, col): ")
-        _write_records(size, 1, lambda a, b: [_objects(f"({r},{c})" for r, c in ones(a, b))], lead=", ")
+        _write_records(size, 1, lambda a, b: [f"({r},{c})" for r, c in ones(a, b)], lead=", ")
         out.write("\n")
         if methods_agree is not None:
             out.write("rule and formula constructions agree\n")
@@ -318,39 +269,33 @@ def _write_decompose(fmt, p, q, source, threshold, grid, left, right):
     rows, cols = np.nonzero(np.abs(grid) > threshold)
     values = grid[rows, cols]
     count = len(values)
+
+    def kept(a, b):  # the row, column and value of kept cells a..b-1
+        return zip(rows[a:b].tolist(), cols[a:b].tolist(), values[a:b].tolist())
+
     if fmt == "json":
-        key = "\n      "
-        by_left = _objects(f'{{{key}"left_index": {a},{key}"right_index": ' for a in range(len(left)))
-        by_right = _objects(f'{b},{key}"left": ' for b in range(len(right)))
-        left_names = _objects(f'{json.dumps(name)},{key}"right": ' for name in left)
-        right_names = _objects(f'{json.dumps(name)},{key}"value": ' for name in right)
-        pair = _json_pair(3)
+        key, inner = "\n      ", "\n        "  # key also ends the value's list
+        by_left = [f'{{{key}"left_index": {a},{key}"right_index": ' for a in range(len(left))]
+        by_right = [f'{b},{key}"left": ' for b in range(len(right))]
+        left_names = [f'{json.dumps(name)},{key}"right": ' for name in left]
+        right_names = [f'{json.dumps(name)},{key}"value": ' for name in right]
         payload = {"command": "decompose", "p": p, "q": q, "source": source, "threshold": threshold,
                    "left_labels": left, "right_labels": right, "entries": _LIST}
         _write_json(payload, [(2, count, 1, lambda a, b: [
-            by_left[rows[a:b]], by_right[cols[a:b]], left_names[rows[a:b]],
-            right_names[cols[a:b]], _texts(values[a:b], pair), "\n    }",
+            f"{by_left[r]}{by_right[c]}{left_names[r]}{right_names[c]}"
+            f"[{inner}{_json_float(z.real)},{inner}{_json_float(z.imag)}{key}]\n    }}"
+            for r, c, z in kept(a, b)
         ])])
     elif fmt == "csv":
-        sys.stdout.write(_csv_row(["left_index", "right_index", "left", "right", "re", "im"]) + "\r\n")
-        by_left = _objects(f"{a}," for a in range(len(left)))
-        by_right = _objects(f"{b}," for b in range(len(right)))
-        left_names = _objects(_csv_field(name) + "," for name in left)
-        right_names = _objects(_csv_field(name) + "," for name in right)
-        _write_records(count, 1, lambda a, b: [
-            by_left[rows[a:b]], by_right[cols[a:b]], left_names[rows[a:b]],
-            right_names[cols[a:b]], _texts(values[a:b], _csv_pair),
-        ])
+        sys.stdout.write("left_index,right_index,left,right,re,im\r\n")
+        left_names, right_names = ([_csv_field(name) for name in labels] for labels in (left, right))
+        _write_records(count, 1, lambda a, b: [f"{r},{c},{left_names[r]},{right_names[c]},{z.real!r},{z.imag!r}\r\n"
+                                               for r, c, z in kept(a, b)])
     else:
-        sys.stdout.write(
-            f"decomposition over {{I, ...}} (x) {{I, ...}} for p={p}, q={q} "
-            f"({count} of {p * p * q * q} coefficients above {threshold:g}):\n"
-        )
-        left_names = _objects(f"  {name} (x) " for name in left)
-        right_names = _objects(f"{name}: " for name in right)
-        _write_records(count, 1, lambda a, b: [
-            left_names[rows[a:b]], right_names[cols[a:b]], _texts(values[a:b], _fmt_complex), "\n",
-        ])
+        sys.stdout.write(f"decomposition over {{I, ...}} (x) {{I, ...}} for p={p}, q={q} "
+                         f"({count} of {p * p * q * q} coefficients above {threshold:g}):\n")
+        _write_records(count, 1, lambda a, b: [f"  {left[r]} (x) {right[c]}: {_fmt_complex(z)}\n"
+                                               for r, c, z in kept(a, b)])
 
 
 # ---------------------------------------------------------------------------

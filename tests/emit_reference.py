@@ -1,7 +1,7 @@
 """Per-entry serializers kept as the reference for the CLI's output layer.
 
-``tcm.cli`` formats each distinct value once and joins large blocks from
-templates.  The functions here are the earlier serializers: ``json.dump``
+``tcm.cli`` writes a chunk of records at a time and splices dense
+matrices from templates.  The functions here are the earlier serializers: ``json.dump``
 with ``indent=2`` over Python lists, one ``csv.writer.writerow`` per matrix
 entry and one ``print`` per pretty line, each value formatted where it is
 written.  ``write_basis``, ``write_swap`` and ``write_decompose`` take the
