@@ -13,6 +13,7 @@ is also the accepted input file format for ``decompose``.
 
 import argparse
 import json
+import signal
 import sys
 from itertools import chain
 
@@ -165,10 +166,7 @@ def _write_basis(fmt, b):
     """Write the generators of the basis ``b`` in ``fmt`` (json, csv or pretty),
     each spliced from its triplets into the text of an n x n zero matrix."""
     n = b.n
-    k, i, j, value = b.triplets
-    # by generator and row-major within each, so that the spans ascend
-    order = np.argsort((k * n + i) * n + j, kind="stable")
-    k, cell, value = k[order], (i * n + j)[order], value[order]
+    k, i, j, value = b.triplets  # by generator and row-major within each, so the spans ascend
     lo = np.searchsorted(k, np.arange(len(b) + 1)).tolist()  # generator g holds lo[g]..lo[g + 1] - 1
     fmt_value = {"json": _json_pair(5), "csv": _csv_pair, "pretty": _fmt_complex}[fmt]
     texts = [fmt_value(z) for z in value.tolist()]
@@ -178,13 +176,13 @@ def _write_basis(fmt, b):
         widths = np.ones(len(b), dtype=np.int64)
         np.maximum.at(widths, k, lengths)
         w = widths[k] + 2
-        ends = cell // n * (n * w + 1) + (cell % n + 1) * w
+        ends = i * (n * w + 1) + (j + 1) * w
         starts, widths = ends - lengths, widths.tolist()
     else:
         heads = ([""] + [_json_lead(5)] * (n * n - 1) if fmt == "json" else
                  [f"{_PREFIX}{r},{c}," for r in range(1, n + 1) for c in range(1, n + 1)])
         template, starts = _zeros(heads, fmt_value(0j))
-        starts = starts[cell]
+        starts = starts[i * n + j]
         ends = starts + len(fmt_value(0j))
     starts, ends = starts.tolist(), ends.tolist()
 
@@ -212,9 +210,9 @@ def _write_basis(fmt, b):
     _write_records(len(b), n * n, lambda a, z: [generator(g) for g in range(a, z)])
 
 
-def _write_swap(fmt, u, method, methods_agree, dense):
-    """Write the swap ``u`` built by ``method`` in ``fmt``; ``methods_agree``
-    is None unless both methods ran, ``dense`` adds the whole matrix."""
+def _write_swap(fmt, u, method, dense):
+    """Write the swap ``u`` built by ``method`` in ``fmt``, which under
+    ``both`` states that the methods agree; ``dense`` adds the whole matrix."""
     p, q, size = u.p, u.q, u.size
     # the 1 of row k + 1 sits in column cols[k]
     cols = u.one_positions()[:, 1]
@@ -240,8 +238,8 @@ def _write_swap(fmt, u, method, methods_agree, dense):
     if fmt == "json":
         payload = {"command": "swap", "p": p, "q": q, "method": method, "size": size, "positions": _LIST}
         lists = [(2, size, 1, lambda a, b: [f"[\n      {r},\n      {c}\n    ]" for r, c in ones(a, b)])]
-        if methods_agree is not None:
-            payload["methods_agree"] = methods_agree
+        if method == "both":
+            payload["methods_agree"] = True
         if dense:
             payload["dense"] = {"rows": size, "cols": size, "entries": _LIST}
             lists.append((3, size, size, rows))
@@ -257,7 +255,7 @@ def _write_swap(fmt, u, method, methods_agree, dense):
         out.write(f"swap {p} (x) {q}: {size} x {size} permutation matrix\nones at (row, col): ")
         _write_records(size, 1, lambda a, b: [f"({r},{c})" for r, c in ones(a, b)], lead=", ")
         out.write("\n")
-        if methods_agree is not None:
+        if method == "both":
             out.write("rule and formula constructions agree\n")
         if dense:
             _write_records(size, size, rows)
@@ -376,15 +374,14 @@ def cmd_swap(args):
         _check_size(f"the {p * q}-entry swap permutation", p * q, np.int64)
     # under --method rule a broken walk checkpoint ends in main, exit 3
     u = (swap_by_rule if args.method == "rule" else swap_by_formula)(p, q)
-    methods_agree = None
     if args.method == "both":
         try:
-            methods_agree = bool(np.array_equal(u.perm, swap_by_rule(p, q).perm))
+            agree = np.array_equal(u.perm, swap_by_rule(p, q).perm)
         except WalkCheckpointError:
-            methods_agree = False
-        if not methods_agree:
+            agree = False
+        if not agree:
             return _internal_failure("rule and formula constructions disagree")
-    _write_swap(args.format, u, args.method, methods_agree, args.dense)
+    _write_swap(args.format, u, args.method, args.dense)
     return EXIT_OK
 
 
@@ -407,9 +404,14 @@ def cmd_decompose(args):
             raise InputError(
                 f"matrix file {args.input!r} is {m.shape[0]} x {m.shape[1]}, expected {p * q} x {p * q}"
             )
-    # the sign of a zero part depends on the order of the arithmetic;
-    # + 0.0 makes each -0.0 a 0.0, so none is printed
-    grid = decompose_product(m, p, q).grid + 0.0
+    # + 0.0 makes each -0.0, whose sign depends on the order of the
+    # arithmetic, a 0.0.  Entries near the float64 limit can overflow the
+    # sums; as every weight has a zero part, an inf cell raises invalid
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            grid = decompose_product(m, p, q).grid + 0.0
+    except FloatingPointError:
+        raise InputError(f"matrix file {args.input!r}: the projection overflows float64")
     _write_decompose(args.format, p, q, args.input, args.threshold, grid, extended_labels(p), extended_labels(q))
     return EXIT_OK
 
@@ -518,5 +520,13 @@ def main(argv=None):
         return _internal_failure(exc)
 
 
-if __name__ == "__main__":
+def run():
+    """The ``tcm`` program.  A reader that closes the pipe early ends it as it
+    ends cat: by SIGPIPE, with no traceback.  Windows has no SIGPIPE."""
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

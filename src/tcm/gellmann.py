@@ -27,11 +27,11 @@ Projections over ``{identity} + basis(n)`` work from the triplets too.
 :func:`expand_in_basis` gathers the entries of ``m`` at the generators'
 nonzeros and sums them per generator, and :func:`reconstruct` scatters
 the weighted nonzeros back into one n x n array: O(n^2) work, no stack
-and no per-n cache.  The product layer reads :func:`real_operands`, built
-once per n and read-only: every element is real (the identity, S, D) or
-purely imaginary (A), so the stack is ``phase[:, None] * real`` with a
-real (n^2, n^2) matrix, built from the triplets without the stack, and
-phases 1 or 1j.
+and no per-n cache.  The product layer reads the :class:`RealOperands`
+of each n, built once and read-only: every element is real (the
+identity, S, D) or purely imaginary (A), so the stack is
+``phase[:, None] * real`` with a real (n^2, n^2) matrix, built from the
+triplets without the stack, and phases 1 or 1j.
 """
 
 from dataclasses import dataclass
@@ -73,9 +73,10 @@ class GeneratorTable(NamedTuple):
 class GellMannBasis:
     """Ordered basis for dimension ``n``: n^2 - 1 (label, matrix) pairs.
 
-    ``triplets`` lists the generators' nonzeros, with ``k`` indexing the
-    canonical order.  ``table``, ``labels`` and ``stack`` are rendered on
-    first read; ``stack`` is one shared, read-only (n^2, n, n) array holding
+    ``triplets`` lists the generators' nonzeros by ``k``, the canonical
+    order, and row-major within each generator; its consumers rely on that
+    order.  ``table``, ``labels`` and ``stack`` are rendered on first read;
+    ``stack`` is one shared, read-only (n^2, n, n) array holding
     ``identity(n)`` and then ``matrices``; copy before modifying.  Bases
     compare and hash by identity, as array fields have no usable ``==``.
     """
@@ -200,16 +201,11 @@ def basis(n):
 
 @lru_cache(maxsize=None)
 def _basis(n):
+    """The basis of a checked ``n >= 1``; at n = 1 it has no generators."""
     return GellMannBasis(n, _triplets(n))
 
 
 basis.cache_clear = _basis.cache_clear
-
-
-def _nonzeros(n):
-    """The triplets of ``basis(n)`` for a checked ``n >= 1``; dimension 1
-    has no generators, so none."""
-    return _basis(n).triplets if n > 1 else _triplets(1)
 
 
 class RealOperands(NamedTuple):
@@ -220,8 +216,7 @@ class RealOperands(NamedTuple):
     ``real`` is float64, and ``phase`` is 1, or 1j for A(i,j), whose real
     row holds -1 at (i,j) and +1 at (j,i).  ``weights`` is
     ``conj(phase) / norms``, the factor that turns ``real`` products into
-    projections.  ``phase`` and ``weights`` are complex128.  All three are
-    read-only.
+    projections.  ``phase`` and ``weights`` are complex128; all are read-only.
     """
 
     real: np.ndarray
@@ -229,51 +224,22 @@ class RealOperands(NamedTuple):
     weights: np.ndarray
 
 
-def _imaginary(triplets, n):
-    """Which of the n^2 - 1 generators listed by ``triplets`` are purely
-    imaginary, as a boolean array; the others are real.
-
-    Raises ValueError if a generator is neither: an entry with a real and
-    an imaginary part, or real entries next to imaginary ones.
-    """
-    k, value = triplets.k, triplets.value
-    size = n * n - 1
-    has_real = np.bincount(k, weights=value.real != 0, minlength=size) > 0
-    has_imag = np.bincount(k, weights=value.imag != 0, minlength=size) > 0
-    if np.any(has_real & has_imag):
-        raise ValueError(f"a generator of dimension {n} is neither real nor purely imaginary")
-    return has_imag
-
-
-def real_operands(n):
-    """The cached :class:`RealOperands` of dimension ``n >= 1``.
-
-    Built from ``basis(n).triplets``, so the dense stack is never rendered.
-    Dimension 1 has no generators: ``real`` is ``[[1.0]]``.  Each n keeps
-    one (n^2, n^2) float64 array, 8 MB at n = 32, cached by the checked int.
-    """
-    return _real_operands(dimension(n, 1))
-
-
 @lru_cache(maxsize=None)
 def _real_operands(n):
-    triplets = _nonzeros(n)
-    k, i, j, value = triplets
-    imaginary = _imaginary(triplets, n)
+    """The :class:`RealOperands` of a checked ``n >= 1`` from the triplets, not
+    the stack: ``[[1.0]]`` at n = 1, and 8 MB of ``real`` at n = 32."""
+    k, i, j, value = _basis(n).triplets
     real = np.zeros((n * n, n * n))
     real[0, :: n + 1] = 1.0
-    real[k + 1, i * n + j] = np.where(imaginary[k], value.imag, value.real)
+    real[k + 1, i * n + j] = value.real + value.imag  # one of the two is zero
     phase = np.ones(n * n, dtype=np.complex128)
-    phase[1:][imaginary] = 1j
+    phase[k[value.imag != 0] + 1] = 1j
     norms = np.full(n * n, 2.0)
     norms[0] = n
     operands = RealOperands(real, phase, phase.conj() / norms)
     for a in operands:
         a.setflags(write=False)
     return operands
-
-
-real_operands.cache_clear = _real_operands.cache_clear
 
 
 def expand_in_basis(m, n=None):
@@ -292,7 +258,7 @@ def expand_in_basis(m, n=None):
         n = dimension(m.shape[0], 1)
     if m.shape != (n, n):
         raise ValueError(f"matrix shape {m.shape} does not match n={n}")
-    k, i, j, value = _nonzeros(n)
+    k, i, j, value = _basis(n).triplets
     terms = np.conj(value)
     terms *= m.ravel()[i * n + j]
     c = np.empty(n * n - 1, dtype=np.complex128)
@@ -309,7 +275,7 @@ def reconstruct(coeffs):
     c = np.asarray(coeffs.c, dtype=np.complex128)
     if c.shape != (n * n - 1,):
         raise ValueError(f"need {n * n - 1} coefficients for n={n}, got {c.shape}")
-    k, i, j, value = _nonzeros(n)
+    k, i, j, value = _basis(n).triplets
     m = np.zeros(n * n, dtype=np.complex128)
     np.add.at(m, i * n + j, c[k] * value)
     m[:: n + 1] += coeffs.c0

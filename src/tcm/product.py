@@ -17,7 +17,7 @@ with A, B the stacks of vectorized factor bases the projection is
 ``grid = conj(A) @ R(m) @ conj(B).T / outer(norms_p, norms_q)`` and the
 reconstruction is ``R^-1(A.T @ grid @ B)``.  Every row of A is real or
 purely imaginary, ``A = phase[:, None] * Q`` with Q real
-(:func:`~tcm.gellmann.real_operands`), so the products run in real
+(:class:`~tcm.gellmann.RealOperands`), so the products run in real
 arithmetic: ``grid = w_p[:, None] * (Q_p @ R(m) @ Q_q.T) * w_q`` with the
 weights ``w = conj(phase) / norms``, and the reconstruction applies the
 phases to the grid, then ``Q_p.T`` and ``Q_q``.  Each product is one
@@ -58,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matops import DEFAULT_ABS_EPS, as_matrix, dimension, identity
-from .gellmann import Triplets, _real_operands, basis
+from .gellmann import Triplets, _basis, _real_operands, basis
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +98,7 @@ class ClosedFormReport:
 def extended_labels(n):
     """Axis labels for a coefficient grid: ``I`` then S/A/D notation."""
     n = dimension(n, 1)
-    return ["I", *(basis(n).labels if n > 1 else ())]
+    return ["I", *_basis(n).labels]
 
 
 def _real_products(first, second, buffer):
@@ -122,7 +122,8 @@ def decompose_product(m, p, q):
     of the factors' squared norms.  With ``A_a = phase_a Q_a`` that is
     ``w_a (Q_p R(m) Q_q^T)[a, b] w_b`` with the weights
     ``w = conj(phase) / norms``: two float64 products on one copy of
-    ``R(m)^T``, then both factors' weights in place.
+    ``R(m)^T``, then both factors' weights in place.  Entries near the
+    float64 limit can overflow: such cells are inf or NaN, with a warning.
     """
     p, q = dimension(p, 1), dimension(q, 1)
     m = as_matrix(m)

@@ -99,7 +99,7 @@ def write_basis(fmt, b):
             _print_matrix(mat)
 
 
-def write_swap(fmt, u, method, methods_agree, dense):
+def write_swap(fmt, u, method, dense):
     p, q = u.p, u.q
     positions = u.one_positions().tolist()
     if fmt == "json":
@@ -111,8 +111,8 @@ def write_swap(fmt, u, method, methods_agree, dense):
             "size": u.size,
             "positions": [[r, c] for r, c in positions],
         }
-        if methods_agree is not None:
-            payload["methods_agree"] = methods_agree
+        if method == "both":
+            payload["methods_agree"] = True
         if dense:
             payload["dense"] = _matrix_obj(u.dense())
         _dump_json(payload)
@@ -129,7 +129,7 @@ def write_swap(fmt, u, method, methods_agree, dense):
     else:
         print(f"swap {p} (x) {q}: {u.size} x {u.size} permutation matrix")
         print("ones at (row, col):", ", ".join(f"({r},{c})" for r, c in positions))
-        if methods_agree is not None:
+        if method == "both":
             print("rule and formula constructions agree")
         if dense:
             _print_matrix(u.dense())

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import signal
 import subprocess
 import sys
@@ -437,15 +438,23 @@ class TestVerifyCommand:
         assert "comparison tolerance (default 1e-10)" in capsys.readouterr().out
 
 
+# the three ways to start tcm: python -m tcm, python -m tcm.cli and the
+# installed script, which calls the target pyproject.toml names
+SCRIPT = re.search(r'^tcm = "([\w.]+):(\w+)"$', (ROOT / "pyproject.toml").read_text(), re.M).groups()
+ENTRIES = {"": ["-m", "tcm"], "tcm.cli ": ["-m", "tcm.cli"],
+           "script ": ["-c", "import sys; from {0} import {1}; sys.exit({1}())".format(*SCRIPT)]}
+PIPED = {"basis": ["basis", "--n", "64", "--format", "csv"], "swap --dense": ["swap", "--p", "64", "--q", "64", "--dense"]}
+
+
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
 @pytest.mark.parametrize(
-    "args",
-    [["basis", "--n", "64", "--format", "csv"], ["swap", "--p", "64", "--q", "64", "--dense"]],
-    ids=["basis", "swap --dense"],
+    "entry,args",
+    [(entry, args) for entry in ENTRIES.values() for args in PIPED.values()],
+    ids=[f"{entry}{args}" for entry in ENTRIES for args in PIPED],
 )
-def test_a_reader_that_closes_early_ends_tcm_by_sigpipe(args):
+def test_a_reader_that_closes_early_ends_tcm_by_sigpipe(entry, args):
     # as `tcm ARGS | head -c 100` does: no traceback, and the status of cat
-    cmd = [sys.executable, "-m", "tcm", *args]
+    cmd = [sys.executable, *entry, *args]
     with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
         assert len(proc.stdout.read(100)) == 100
         proc.stdout.close()
@@ -610,6 +619,7 @@ REFUSALS = {
         ("decompose --p 1 --q 1 --input huge.json", "matrix file 'huge.json': an entry is too large for a float"),
         ("decompose --p 1 --q 1 --input inf.json", "matrix file 'inf.json': matrix entries must be finite"),
         ("decompose --p 3 --q 2 --input square.json", "matrix file 'square.json' is 2 x 2, expected 6 x 6"),
+        ("decompose --p 2 --q 2 --input overflow.json", "matrix file 'overflow.json': the projection overflows float64"),
     ],
     "verify": [
         ("verify --n-max 1", "--n-max must be at least 2"),
@@ -629,6 +639,9 @@ MATRIX_FILES = {
     "pairs.json": '{"rows": 1, "cols": 1, "entries": [[1, "0"]]}',
     "huge.json": '{"rows": 1, "cols": 1, "entries": [[1%s, 0]]}' % ("0" * 400),
     "inf.json": '{"rows": 1, "cols": 1, "entries": [[Infinity, 0]]}',
+    # finite entries whose sums overflow: I (x) I alone is 3e308 / 4
+    "overflow.json": json.dumps({"rows": 4, "cols": 4, "entries": [[1e308 if r == c and r < 3 else 0, 0]
+                                                                   for r in range(4) for c in range(4)]}),
 }
 
 

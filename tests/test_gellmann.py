@@ -16,12 +16,10 @@ from tcm.gellmann import (
     DIAGONAL,
     SYMMETRIC,
     BasisCoefficients,
-    Triplets,
-    _imaginary,
-    _nonzeros,
+    _basis,
+    _real_operands,
     basis,
     expand_in_basis,
-    real_operands,
     reconstruct,
 )
 from tcm.matops import identity, max_abs_diff
@@ -153,15 +151,19 @@ class TestBasis:
         assert after != before
         assert len({before, after}) == 2
 
-    @pytest.mark.parametrize("cached,n", [(basis, 3), (real_operands, 4)], ids=["basis", "real_operands"])
-    def test_a_numpy_integer_shares_the_cache_entry_of_its_int(self, cached, n):
+    @pytest.mark.parametrize(
+        "call,cache",
+        [(basis, _basis), (lambda n: decompose_product(np.eye(9), n, n), _real_operands)],
+        ids=["basis", "real_operands"],
+    )
+    def test_a_numpy_integer_shares_the_cache_entry_of_its_int(self, call, cache):
         # one entry per size: a second would hold a second copy of the arrays
         for _ in range(2):
-            cached.cache_clear()
-            first = cached(np.int64(n))
-            assert first is cached(n) is cached(np.int32(n))
-        if cached is basis:
-            assert type(first.n) is int
+            cache.cache_clear()
+            for n in (np.int64(3), 3, np.int32(3)):
+                call(n)
+            assert cache.cache_info().currsize == 1
+        assert type(basis(np.int64(3)).n) is int
 
 
 def generator(n, label):
@@ -263,7 +265,7 @@ class TestStack:
 
     def test_one_dimensional_stack(self):
         # {I_1} alone: no generator nonzeros, so every matrix is c0 * I_1
-        assert all(a.size == 0 for a in _nonzeros(1))
+        assert all(a.size == 0 for a in _basis(1).triplets)
         coeffs = expand_in_basis([[2 - 3j]])
         assert coeffs.c0 == 2 - 3j
         assert coeffs.c.shape == (0,)
@@ -275,15 +277,11 @@ class TestStack:
             lambda: expand_in_basis(np.zeros((0, 0))),
             lambda: reconstruct(BasisCoefficients(n=-2, c0=0.0, c=np.zeros(3))),
             lambda: decompose_product(np.zeros((0, 0)), 0, 3),
-            lambda: real_operands(0),
-            lambda: real_operands(-2),
         ],
         ids=[
             "expand_in_basis(0x0)",
             "reconstruct(n=-2)",
             "decompose_product(0x0, 0, 3)",
-            "real_operands(0)",
-            "real_operands(-2)",
         ],
     )
     def test_dimension_below_one_raises_value_error(self, call):
@@ -294,7 +292,7 @@ class TestStack:
     def test_cached_operands_refuse_writes(self, n):
         # one caller's write to the cached triplets would corrupt every
         # later projection of size n
-        for name, a in _nonzeros(n)._asdict().items():
+        for name, a in _basis(n).triplets._asdict().items():
             assert not a.flags.writeable, name
             with pytest.raises(ValueError):
                 a[...] = 0
@@ -304,59 +302,58 @@ class TestStack:
         assert max_abs_diff(reconstruct(expand_in_basis(m)), m) <= 1e-12
 
 
+def assert_real_operands_are_the_split_generators(n):
+    real, phase, weights = _real_operands(n)
+    expected_real, expected_phase, norms = loops.real_stack(n)
+    assert real.dtype == np.float64 and real.shape == (n * n, n * n)
+    assert real.tobytes() == expected_real.tobytes()
+    assert phase.tobytes() == expected_phase.tobytes()
+    assert weights.tobytes() == (expected_phase.conj() / norms).tobytes()
+
+
 class TestRealOperands:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13])
     def test_equal_the_split_of_the_generator_functions_bitwise(self, n):
-        real, phase, weights = real_operands(n)
-        expected_real, expected_phase, norms = loops.real_stack(n)
-        assert real.dtype == np.float64 and real.shape == (n * n, n * n)
-        assert real.tobytes() == expected_real.tobytes()
-        assert phase.tobytes() == expected_phase.tobytes()
-        assert weights.tobytes() == (expected_phase.conj() / norms).tobytes()
+        assert_real_operands_are_the_split_generators(n)
+
+    @settings(max_examples=15, deadline=None)
+    @given(n=st.integers(1, 40))
+    def test_equal_the_split_of_the_generator_functions_bitwise_at_random_n(self, n):
+        # every generator real or purely imaginary, at the sizes the triplets are checked at
+        assert_real_operands_are_the_split_generators(n)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 7])
     def test_phases_times_real_rows_are_the_stack(self, n):
-        real, phase, _ = real_operands(n)
+        real, phase, _ = _real_operands(n)
         product = phase[:, None] * real
         assert product.tobytes() == basis(n).stack.reshape(n * n, n * n).tobytes()
 
     def test_antisymmetric_rows_are_imaginary_with_minus_one_above_the_diagonal(self):
         # A(1,2) is row 2 of {I} + basis(2): -1j at (1,2), +1j at (2,1)
-        real, phase, weights = real_operands(2)
+        real, phase, weights = _real_operands(2)
         assert phase.tolist() == [1, 1, 1j, 1]
         assert real[2].tolist() == [0.0, -1.0, 1.0, 0.0]
         assert weights.tolist() == [0.5, 0.5, -0.5j, 0.5]
 
     def test_one_dimensional_operands(self):
-        real, phase, weights = real_operands(1)
+        real, phase, weights = _real_operands(1)
         assert real.tolist() == [[1.0]]
         assert phase.tolist() == weights.tolist() == [1]
 
     def test_built_from_the_triplets_without_the_stack(self):
         basis.cache_clear()
-        real_operands.cache_clear()
-        real_operands(6)
+        _real_operands.cache_clear()
+        _real_operands(6)
         assert "stack" not in vars(basis(6))
-        assert real_operands(6) is real_operands(6)
+        assert _real_operands(6) is _real_operands(6)
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_refuse_writes(self, n):
-        for name, a in real_operands(n)._asdict().items():
+        for name, a in _real_operands(n)._asdict().items():
             assert not a.flags.writeable, name
             with pytest.raises(ValueError):
                 a[0] = 7.0
 
-    @pytest.mark.parametrize("value", [1 + 1j, 1j], ids=["one complex entry", "real and imaginary entries"])
-    def test_a_generator_neither_real_nor_imaginary_raises_value_error(self, value):
-        # generator 0 of a made-up dimension-2 basis: 1 at (1,1), value at (2,2)
-        triplets = Triplets(
-            np.array([0, 0, 1, 2]),
-            np.array([0, 1, 0, 0]),
-            np.array([0, 1, 1, 1]),
-            np.array([1, value, 1, 1], dtype=np.complex128),
-        )
-        with pytest.raises(ValueError, match="neither real nor purely imaginary"):
-            _imaginary(triplets, 2)
 
 
 class TestExpand:

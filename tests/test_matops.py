@@ -3,7 +3,7 @@ import pytest
 
 import tcm
 from loop_reference import diagonal_generator, elementary, realign, symmetric_generator, unrealign
-from tcm.gellmann import basis, real_operands
+from tcm.gellmann import basis
 from tcm.matops import as_matrix, dimension, hs_inner, identity, max_abs_diff
 from tcm.product import decompose_product
 
@@ -73,7 +73,6 @@ class TestDimension:
 # every public size argument, as a call that puts ``v`` in its place
 SIZE_ARGUMENTS = {
     "basis": lambda v: tcm.basis(v),
-    "real_operands": lambda v: real_operands(v),
     "extended_labels": lambda v: tcm.extended_labels(v),
     "swap_by_formula p": lambda v: tcm.swap_by_formula(v, 3),
     "swap_by_formula q": lambda v: tcm.swap_by_formula(3, v),
