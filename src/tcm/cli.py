@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error,
 3 internal consistency failure (a broken walk checkpoint, or rule and
-formula constructions that disagree).  Every refusal (argparse's, and a
-request whose largest array would exceed ``_MAX_ARRAY_BYTES``, before
-anything is built) raises InputError; main alone turns it into exit 2.
+formula constructions that disagree).  Every refusal (argparse's, a
+request that would build or write more than ``_MAX_CELLS`` cells, checked
+before anything is built or read, and a matrix file longer than its
+shape allows) raises InputError; main alone turns it into exit 2.
 Complex numbers serialize as [re, im] pairs in JSON and as re,im column
 pairs in CSV; matrices in JSON always use the object form
 ``{"rows": R, "cols": C, "entries": [[re, im], ...]}`` (row-major), which
@@ -29,32 +30,19 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
-# the largest n the checks are run at in CI; re-derive it from their O(n^3)
-# cost before raising it
-_MAX_VERIFY_N = 64
-# the most one array of swap, basis or decompose may take: one 4096 x 4096
-# complex matrix, the scale of verify's n <= 64
-_MAX_ARRAY_BYTES = 256 << 20
+# the most cells a request may build or write: one n^2 x n^2 matrix at
+# n = 64, the largest size the identities are checked at in CI
+_MAX_CELLS = 1 << 24
 
 
 class InputError(Exception):
     """Unusable command input (bad value, unreadable or misshapen file)."""
 
 
-def _size_text(size):
-    for unit in ("bytes", "KiB", "MiB", "GiB"):
-        if size < 1024:
-            return f"{size:.4g} {unit}"
-        size /= 1024
-    return f"{size:.4g} TiB"
-
-
-def _check_size(array, cells, dtype):
-    """Raise InputError if ``cells`` entries of ``dtype``, the request's
-    largest array (named by ``array``), exceed _MAX_ARRAY_BYTES."""
-    size = cells * np.dtype(dtype).itemsize
-    if size > _MAX_ARRAY_BYTES:
-        raise InputError(f"{array} would take {_size_text(size)}, over the {_size_text(_MAX_ARRAY_BYTES)} limit")
+def _check_cells(request, cells):
+    """Raise InputError if ``request`` would build or write more than _MAX_CELLS cells."""
+    if cells > _MAX_CELLS:
+        raise InputError(f"{request} would take {cells} cells, over the {_MAX_CELLS}-cell limit")
 
 
 # ---------------------------------------------------------------------------
@@ -299,11 +287,20 @@ def _write_decompose(fmt, p, q, source, threshold, grid, left, right):
 # ---------------------------------------------------------------------------
 # input
 
-def _load_matrix_file(path):
-    """Read ``{"rows": R, "cols": C, "entries": [[re, im], ...]}`` (row-major)."""
+def _load_matrix_file(path, size):
+    """Read the ``size`` x ``size`` matrix ``{"rows": R, "cols": C, "entries": [[re, im], ...]}``
+    (row-major) from a file of at most 128 characters per entry and 4096 more:
+    json.dump(indent=4) of the longest doubles takes 96 per entry."""
+    bound = size * size * 128 + 4096
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            text = ""  # a MiB at a time: one read of bound + 1 would reserve that much memory
+            while len(text) <= bound and (piece := fh.read(min(1 << 20, bound + 1 - len(text)))):
+                text += piece
+        if len(text) > bound:
+            raise InputError(f"matrix file {path!r} is longer than the {bound} characters "
+                             f"a {size} x {size} matrix may take")
+        data = json.loads(text)
     except OSError as exc:
         raise InputError(f"cannot read matrix file {path!r}: {exc}")
     except (ValueError, RecursionError) as exc:
@@ -322,6 +319,8 @@ def _load_matrix_file(path):
         raise InputError(
             f"matrix file {path!r} must hold rows*cols = {rows * cols} entries"
         )
+    if (rows, cols) != (size, size):
+        raise InputError(f"matrix file {path!r} is {rows} x {cols}, expected {size} x {size}")
     try:
         values = _pair_values(entries)
     except TypeError:
@@ -359,7 +358,7 @@ def cmd_basis(args):
     n = args.n
     if n < 2:
         raise InputError("--n must be at least 2")
-    _check_size(f"the ({n * n}, {n}, {n}) basis stack", n ** 4, np.complex128)
+    _check_cells(f"the {n * n - 1} generators of n = {n}", (n * n - 1) * n * n)
     _write_basis(args.format, basis(n))
     return EXIT_OK
 
@@ -369,9 +368,9 @@ def cmd_swap(args):
     if p < 1 or q < 1:
         raise InputError("--p and --q must be at least 1")
     if args.dense:
-        _check_size(f"the dense {p * q} x {p * q} swap", (p * q) ** 2, np.complex128)
+        _check_cells(f"the dense {p * q} x {p * q} swap", (p * q) ** 2)
     else:
-        _check_size(f"the {p * q}-entry swap permutation", p * q, np.int64)
+        _check_cells(f"the positions of the {p} (x) {q} swap", p * q)
     # under --method rule a broken walk checkpoint ends in main, exit 3
     u = (swap_by_rule if args.method == "rule" else swap_by_formula)(p, q)
     if args.method == "both":
@@ -392,18 +391,8 @@ def cmd_decompose(args):
     if not np.isfinite(args.threshold) or args.threshold < 0:
         raise InputError("--threshold must be finite and non-negative")
     n = max(p, q)
-    _check_size(
-        f"a ({n * n}, {n * n}) complex array (the largest decompose could build at factor size {n})",
-        n ** 4, np.complex128,
-    )
-    if args.input == "swap":
-        m = swap_by_formula(p, q).dense()
-    else:
-        m = _load_matrix_file(args.input)
-        if m.shape != (p * q, p * q):
-            raise InputError(
-                f"matrix file {args.input!r} is {m.shape[0]} x {m.shape[1]}, expected {p * q} x {p * q}"
-            )
+    _check_cells(f"the ({n * n}, {n * n}) arrays of decompose at factor size {n}", n ** 4)
+    m = swap_by_formula(p, q).dense() if args.input == "swap" else _load_matrix_file(args.input, p * q)
     # + 0.0 makes each -0.0, whose sign depends on the order of the
     # arithmetic, a 0.0.  Entries near the float64 limit can overflow the
     # sums; as every weight has a zero part, an inf cell raises invalid
@@ -419,8 +408,7 @@ def cmd_decompose(args):
 def cmd_verify(args):
     if args.n_max < 2:
         raise InputError("--n-max must be at least 2")
-    if args.n_max > _MAX_VERIFY_N:
-        raise InputError(f"--n-max must be at most {_MAX_VERIFY_N} (the largest size the checks are tested at)")
+    _check_cells(f"the {args.n_max ** 2} x {args.n_max ** 2} identities of n = {args.n_max}", args.n_max ** 4)
     if not np.isfinite(args.tol) or args.tol < 0:
         raise InputError("--tol must be finite and non-negative")
     all_ok = True

@@ -324,16 +324,20 @@ class TestDecomposeCommand:
         ],
     )
     def test_malformed_file_exits_2(self, tmp_path, content):
-        # 1 x 1 so that no case is caught by the later shape check instead
+        # 1 x 1 so that no case is caught by the later shape check instead;
+        # the two cases too long for a 1 x 1 file fail to parse whatever
+        # the shape, so they are read as 8 x 8, whose bound they are within
+        size = "1" if len(content) <= 128 + 4096 else "8"
         path = tmp_path / "bad.json"
         if isinstance(content, bytes):
             path.write_bytes(content)
         else:
             path.write_text(content, encoding="utf-8")
-        result = run_cli("decompose", "--p", "1", "--q", "1", "--input", str(path))
+        result = run_cli("decompose", "--p", size, "--q", size, "--input", str(path))
         assert result.returncode == 2
         assert result.stdout == ""
         assert len(result.stderr.splitlines()) == 1
+        assert "characters" not in result.stderr
 
     @pytest.mark.parametrize(
         "last,fault",
@@ -357,14 +361,57 @@ class TestDecomposeCommand:
         result = run_cli("decompose", "--p", "3", "--q", "2", "--input", "/nonexistent.json")
         assert result.returncode == 2
 
-    def test_wrong_shape_exits_2(self, tmp_path):
+    def test_file_past_its_bound_is_refused_unparsed(self, tmp_path, monkeypatch, capsys):
+        # a 2 (x) 2 file may take 128 characters for each of its 16 entries and 4096 more
+        bound = 16 * 128 + 4096
+        path = tmp_path / "long.json"
+        path.write_text(" " * (bound + 1), encoding="utf-8")
+
+        def never(*args, **kwargs):
+            raise AssertionError("a file past its bound was parsed")
+
+        monkeypatch.setattr(cli.json, "loads", never)
+        assert cli.main(["decompose", "--p", "2", "--q", "2", "--input", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", f"tcm: error: matrix file {str(path)!r} is longer than the {bound} characters a 4 x 4 matrix may take\n")
+
+    def test_small_file_of_a_large_request_reserves_no_room_for_its_bound(self, tmp_path, capsys):
+        # the bound at 64 (x) 64 is 2 GiB; the file is read a piece at a time
+        path = tmp_path / "one.json"
+        path.write_text('{"rows": 1, "cols": 1, "entries": [[1, 0]]}', encoding="utf-8")
+        tracemalloc.start()
+        try:
+            assert cli.main(["decompose", "--p", "64", "--q", "64", "--input", str(path)]) == 2
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().err == f"tcm: error: matrix file {str(path)!r} is 1 x 1, expected 4096 x 4096\n"
+        assert peak < 8 << 20
+
+    @pytest.mark.parametrize("p, q", [(3, 2), (8, 8)])
+    def test_indent_4_file_of_the_longest_doubles_is_admitted(self, p, q, tmp_path, capsys):
+        # 24 characters each, the longest repr of a double; at 8 (x) 8 the
+        # entries take more than the 4096 characters allowed beyond them
+        size = p * q
+        longest = [-2.2250738585072014e-308] * 2
         path = tmp_path / "matrix.json"
-        path.write_text(
-            json.dumps({"rows": 2, "cols": 2, "entries": [[1, 0], [0, 0], [0, 0], [1, 0]]}),
-            encoding="utf-8",
-        )
-        result = run_cli("decompose", "--p", "3", "--q", "2", "--input", str(path))
-        assert result.returncode == 2
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"rows": size, "cols": size, "entries": [longest] * size ** 2}, fh, indent=4)
+        assert len(path.read_text(encoding="utf-8")) > 96 * size ** 2
+        assert cli.main(["decompose", "--p", str(p), "--q", str(q), "--input", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_wrong_shape_exits_2(self, tmp_path, monkeypatch, capsys):
+        # refused before any entry is converted
+        def never(*args, **kwargs):
+            raise AssertionError("the entries of a misshapen file were converted")
+
+        monkeypatch.setattr(cli, "_pair_values", never)
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps({"rows": 2, "cols": 2, "entries": [[1, 0], [0, 0], [0, 0], [1, 0]]}),
+                        encoding="utf-8")
+        assert cli.main(["decompose", "--p", "3", "--q", "2", "--input", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"tcm: error: matrix file {str(path)!r} is 2 x 2, expected 6 x 6\n")
 
 
 class TestVerifyCommand:
@@ -388,7 +435,7 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1
-        assert "--n-max must be at most 64" in captured.err
+        assert captured.err.endswith(" cells, over the 16777216-cell limit\n")
 
     def test_reads_no_label_and_renders_no_stack(self, capsys):
         # the checks need only each basis's triplets
@@ -521,7 +568,7 @@ def test_workload_output_digest(digest, args, capsys):
 
 
 # every function through which a command builds its arrays
-BUILDERS = ["basis", "swap_by_formula", "swap_by_rule", "decompose_product", "_load_matrix_file"]
+BUILDERS = ["basis", "swap_by_formula", "swap_by_rule", "decompose_product", "_load_matrix_file", "identity_errors"]
 
 
 class TestSizeGate:
@@ -533,8 +580,10 @@ class TestSizeGate:
         "swap --p 4611686018427387904 --q 4",
         "swap --p 4097 --q 1 --dense --method both --format json",
         "swap --p 33554433 --q 1 --method rule",
+        "swap --p 1 --q 16777217",
         "basis --n 65 --format csv",
         "decompose --p 2 --q 65 --input no-such-file.json",
+        "verify --n-max 65",
     ])
     def test_oversize_request_exits_2_before_building(self, args, monkeypatch, capsys):
         def never(*args, **kwargs):
@@ -547,13 +596,14 @@ class TestSizeGate:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("tcm: error: ")
-        assert captured.err.endswith(", over the 256 MiB limit\n")
+        assert captured.err.endswith(" cells, over the 16777216-cell limit\n")
 
     @pytest.mark.parametrize("args", [
         "swap --p 4096 --q 1 --dense",
-        "swap --p 1 --q 33554432",
+        "swap --p 1 --q 16777216",
         "basis --n 64",
         "decompose --p 64 --q 3",
+        "verify --n-max 64",
     ])
     def test_largest_request_at_the_limit_is_admitted(self, args, monkeypatch, capsys):
         class Admitted(Exception):
@@ -572,15 +622,16 @@ class TestSizeGate:
         result = run_cli("swap", "--p", "1000000", "--q", "1000000")
         assert result.returncode == 2
         assert result.stdout == ""
-        assert result.stderr == "tcm: error: the 1000000000000-entry swap permutation would take 7.276 TiB, over the 256 MiB limit\n"
+        assert result.stderr == ("tcm: error: the positions of the 1000000 (x) 1000000 swap would take "
+                                 "1000000000000 cells, over the 16777216-cell limit\n")
 
     def test_oversize_decompose_names_the_largest_array_it_could_build(self, capsys):
-        # the bound is an (m^2, m^2) complex array, m = max(p, q), not the
-        # float64 real operands, which take half of that
+        # the count is of an (m^2, m^2) array, m = max(p, q), not of the
+        # (pq)^2 input, which is smaller when p != q
         assert cli.main(["decompose", "--p", "2", "--q", "65"]) == 2
         assert capsys.readouterr().err == (
-            "tcm: error: a (4225, 4225) complex array (the largest decompose could build "
-            "at factor size 65) would take 272.4 MiB, over the 256 MiB limit\n"
+            "tcm: error: the (4225, 4225) arrays of decompose at factor size 65 "
+            "would take 17850625 cells, over the 16777216-cell limit\n"
         )
 
 
@@ -590,14 +641,17 @@ REFUSALS = {
     "basis": [
         ("basis --n 1", "--n must be at least 2"),
         ("basis --n -3 --format json", "--n must be at least 2"),
-        ("basis --n 65", "the (4225, 65, 65) basis stack would take 272.4 MiB, over the 256 MiB limit"),
+        ("basis --n 65", "the 4224 generators of n = 65 would take 17846400 cells, over the 16777216-cell limit"),
     ],
     "swap": [
         ("swap --p 0 --q 3", "--p and --q must be at least 1"),
         ("swap --p 3 --q -1 --method rule", "--p and --q must be at least 1"),
         ("swap --p 1000000 --q 1000000",
-         "the 1000000000000-entry swap permutation would take 7.276 TiB, over the 256 MiB limit"),
-        ("swap --p 4097 --q 1 --dense", "the dense 4097 x 4097 swap would take 256.1 MiB, over the 256 MiB limit"),
+         "the positions of the 1000000 (x) 1000000 swap would take 1000000000000 cells, over the 16777216-cell limit"),
+        ("swap --p 1 --q 16777217",
+         "the positions of the 1 (x) 16777217 swap would take 16777217 cells, over the 16777216-cell limit"),
+        ("swap --p 4097 --q 1 --dense",
+         "the dense 4097 x 4097 swap would take 16785409 cells, over the 16777216-cell limit"),
     ],
     "decompose": [
         ("decompose --p 0 --q 2", "--p and --q must be at least 1"),
@@ -605,8 +659,8 @@ REFUSALS = {
         ("decompose --p 2 --q 2 --threshold nan", "--threshold must be finite and non-negative"),
         ("decompose --p 2 --q 2 --threshold inf", "--threshold must be finite and non-negative"),
         ("decompose --p 2 --q 65",
-         "a (4225, 4225) complex array (the largest decompose could build at factor size 65) "
-         "would take 272.4 MiB, over the 256 MiB limit"),
+         "the (4225, 4225) arrays of decompose at factor size 65 would take 17850625 cells, "
+         "over the 16777216-cell limit"),
         ("decompose --p 2 --q 2 --input missing.json",
          "cannot read matrix file 'missing.json': [Errno 2] No such file or directory: 'missing.json'"),
         ("decompose --p 1 --q 1 --input truncated.json",
@@ -623,7 +677,8 @@ REFUSALS = {
     ],
     "verify": [
         ("verify --n-max 1", "--n-max must be at least 2"),
-        ("verify --n-max 65", "--n-max must be at most 64 (the largest size the checks are tested at)"),
+        ("verify --n-max 65",
+         "the 4225 x 4225 identities of n = 65 would take 17850625 cells, over the 16777216-cell limit"),
         ("verify --n-max 3 --tol nan", "--tol must be finite and non-negative"),
         ("verify --n-max 3 --tol -1", "--tol must be finite and non-negative"),
         ("verify --n-max 3 --tol inf", "--tol must be finite and non-negative"),
