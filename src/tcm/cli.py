@@ -202,8 +202,9 @@ def _write_swap(fmt, u, method, dense):
     """Write the swap ``u`` built by ``method`` in ``fmt``, which under
     ``both`` states that the methods agree; ``dense`` adds the whole matrix."""
     p, q, size = u.p, u.q, u.size
-    # the 1 of row k + 1 sits in column cols[k]
-    cols = u.one_positions()[:, 1]
+    # the 1 of row k + 1 sits in column cols[k]: the inverse permutation, 1-based
+    cols = np.empty(size, dtype=np.int64)
+    cols[u.perm] = np.arange(1, size + 1)
     out = sys.stdout
 
     def ones(a, b):

@@ -1,39 +1,27 @@
-"""Term-by-term loops kept as the reference for the library's
-matrix-product forms.
+"""Term-by-term loops and single-generator constructions kept as the
+independent oracles of the library, written from the definitions and
+not from its order of arithmetic.
 
-``decompose_product``/``reconstruct_product`` compute every coefficient
-at once from stacks of vectorized basis matrices,
-``expand_in_basis``/``reconstruct`` gather and scatter each generator's
-nonzeros, and the family sums and the closed-form check scatter their
-Kronecker squares from each matrix's nonzeros.  The loops here evaluate the same quantities one basis element
-at a time, straight from the definitions: one Hilbert-Schmidt inner
-product per cell, one Kronecker product per term.
-``sum_kron_squares_realigned`` keeps the dense realigned product that the
-scatter replaced, and ``sum_kron_squares_nonzero`` the scatter over the
-``np.nonzero`` of a dense stack that the triplet form replaced, as second
-and third oracles for it.  ``symmetric_generator``,
-``antisymmetric_generator`` and ``diagonal_generator`` build one generator
-each from its definition.  ``basis_stack`` fills the dense generator stack
-from them one generator at a time, the way ``basis(n)`` did before it kept
-triplets, ``basis_labels`` writes the labels in canonical order by a loop
-over the pairs, independently of the library's numbering, and
-``label_fields`` reads a label's kind and indices back from its text.
+``symmetric_generator``, ``antisymmetric_generator`` and
+``diagonal_generator`` build one generator each from its definition.
+``basis_stack`` fills ``identity(n)`` and the generators in canonical
+order from them one generator at a time, ``basis_labels`` writes the
+labels by a loop over the pairs, independently of the library's
+numbering, and ``label_fields`` reads a label's kind and indices back
+from its text.  ``real_stack`` splits that stack into a real matrix and
+phases, exact values that the library's real operands must equal.
+
+The projection oracles take one Hilbert-Schmidt inner product per cell
+(``product_grid``, ``basis_coefficients``) and add one Kronecker product
+or one generator per term (``product_sum``, ``basis_sum``).
+``sum_kron_squares`` is the one oracle for a sum of Kronecker squares,
+one ``np.kron`` per matrix, and the family sums and their references
+are the same loops over the generators and the elementary matrices.
 ``realign`` and ``unrealign`` are the Van Loan-Pitsianis rearrangement
 ``R(m)[(i1, j1), (i2, j2)] = m[(i1, i2), (j1, j2)]`` and its inverse.
-``extended_stack`` and the ``*_per_call`` functions keep the
-matrix-product projections as they were before their per-size operands
-were cached: the stack, its conjugate and the norm grid rebuilt on every
-call, as the complex form that the real product projection and the
-triplet expansion must stay within 1e-14 of.  ``generator_triplets``
-reads the generators' nonzeros off ``basis_stack``, and the
-``*_triplets_per_call`` functions expand and reconstruct from them on
-every call, as the bitwise oracle for the triplet expansion.
-``real_stack`` splits the stack into a real matrix and phases, and the
-``*_real_per_call`` functions rebuild that split on every call, as the
-bitwise oracle for the real product projection.  ``one_positions`` sorts
-the (row, col) pairs of a swap as Python tuples, ``swap_by_rule_walk``
-walks the swap one column at a time, and ``elementary`` places a single 1
-by its 1-based indices.
+``one_positions`` sorts the (row, col) pairs of a swap as Python tuples,
+``swap_by_rule_walk`` walks the swap one column at a time, and
+``elementary`` places a single 1 by its 1-based indices.
 """
 
 import re
@@ -91,13 +79,11 @@ def diagonal_generator(n, d):
 
 
 def extended_factors(n):
-    """Matrices and squared HS norms of ``{I_n} + basis(n)``."""
-    mats = [identity(n)]
-    norms = [float(n)]
-    if n >= 2:
-        mats.extend(basis(n).matrices)
-        norms.extend([2.0] * (n * n - 1))
-    return mats, norms
+    """``{I_n} + basis(n)`` built by the single-generator functions, and
+    their squared HS norms."""
+    norms = np.full(n * n, 2.0)
+    norms[0] = n
+    return basis_stack(n), norms
 
 
 def product_grid(m, p, q):
@@ -133,131 +119,28 @@ def unrealign(r, p, q):
     return r.reshape(p, p, q, q).transpose(0, 2, 1, 3).reshape(p * q, p * q)
 
 
-def extended_stack(n):
-    """``{identity} + basis(n)`` viewed as (n^2, n^2) and fresh float squared
-    norms, ``[[1]]`` and ``[1]`` at n = 1."""
-    stack = basis(n).stack if n > 1 else identity(1)
-    norms = np.full(n * n, 2.0)
-    norms[0] = n
-    return stack.reshape(n * n, n * n), norms
-
-
-def decompose_per_call(m, p, q):
-    """The product grid of ``m``, conjugating the stacks and forming the
-    norm grid on every call."""
-    a_stack, a_norms = extended_stack(p)
-    b_stack, b_norms = extended_stack(q)
-    grid = a_stack.conj() @ realign(m, p, q) @ b_stack.conj().T
-    return grid / np.outer(a_norms, b_norms)
-
-
-def reconstruct_product_per_call(grid, p, q):
-    """``sum_ab grid[a, b] * kron(A_a, B_b)`` from per-call stacks."""
-    a_stack, _ = extended_stack(p)
-    b_stack, _ = extended_stack(q)
-    return unrealign(a_stack.T @ grid @ b_stack, p, q)
-
-
 def real_stack(n):
     """``{identity} + basis(n)`` split as ``phase[:, None] * real``, rebuilt
     from the single-generator functions: a matrix with an imaginary entry
     gives its imaginary part and phase 1j, any other its real part and
     phase 1.  Returns ``(real, phase, norms)``, the norms as floats."""
-    stack = basis_stack(n).reshape(n * n, n * n)
+    stack, norms = extended_factors(n)
+    stack = stack.reshape(n * n, n * n)
     imaginary = np.any(stack.imag != 0, axis=1)
-    norms = np.full(n * n, 2.0)
-    norms[0] = n
     return np.where(imaginary[:, None], stack.imag, stack.real), np.where(imaginary, 1j, 1.0 + 0j), norms
-
-
-def _real_times(real, x):
-    """``real @ x`` as one float64 product on the parts of complex ``x``."""
-    return (real @ np.ascontiguousarray(x).view(np.float64)).view(np.complex128)
-
-
-def decompose_real_per_call(m, p, q):
-    """The product grid of ``m`` in real arithmetic, from real stacks built
-    on every call: ``Q_q`` on ``R(m)^T``, ``Q_p`` on the transpose of that,
-    then the weights ``conj(phase) / norms`` of p and of q."""
-    a_real, a_phase, a_norms = real_stack(p)
-    b_real, b_phase, b_norms = real_stack(q)
-    grid = _real_times(a_real, _real_times(b_real, realign(m, p, q).T).T)
-    grid *= (a_phase.conj() / a_norms)[:, None]
-    grid *= b_phase.conj() / b_norms
-    return grid
-
-
-def reconstruct_product_real_per_call(grid, p, q):
-    """``sum_ab grid[a, b] * kron(A_a, B_b)`` in real arithmetic, from real
-    stacks built on every call: the grid times the phases of p and of q,
-    ``Q_p^T`` on it, then ``Q_q^T`` on the transpose of that, which is
-    ``R(m)^T``."""
-    a_real, a_phase, _ = real_stack(p)
-    b_real, b_phase, _ = real_stack(q)
-    phased = grid * a_phase[:, None]
-    phased *= b_phase
-    return unrealign(_real_times(b_real.T, _real_times(a_real.T, phased).T).T, p, q)
-
-
-def expand_per_call(m):
-    """All expansion coefficients of ``m``, the identity's first, from a
-    per-call conjugate stack."""
-    stack, norms = extended_stack(m.shape[0])
-    return stack.conj() @ m.ravel() / norms
-
-
-def reconstruct_per_call(n, c0, c):
-    """``c0 * identity(n) + sum_k c[k] * G_k`` from a per-call stack."""
-    stack, _ = extended_stack(n)
-    return (np.concatenate(([c0], c)) @ stack).reshape(n, n)
-
-
-def generator_triplets(n):
-    """The (k, i, j, value) nonzeros of the generators of dimension n, by
-    generator and row-major within each one, read off the stack that the
-    single-generator functions fill; none at n = 1."""
-    stack = basis_stack(n)[1:]
-    k, i, j = np.nonzero(stack)
-    return k, i, j, stack[k, i, j]
-
-
-def expand_triplets_per_call(m):
-    """All expansion coefficients of ``m``, the identity's first: the trace
-    over n, then half of each generator's sum of ``conj(value) * m[i, j]``
-    over its nonzeros, from triplets built on every call."""
-    n = m.shape[0]
-    k, i, j, value = generator_triplets(n)
-    terms = value.conj() * m[i, j]
-    c = np.empty(n * n, dtype=np.complex128)
-    c[0] = np.trace(m) / n
-    c[1:].real = np.bincount(k, terms.real, n * n - 1)
-    c[1:].imag = np.bincount(k, terms.imag, n * n - 1)
-    c[1:] *= 0.5
-    return c
-
-
-def reconstruct_triplets_per_call(n, c0, c):
-    """``c0 * identity(n) + sum_k c[k] * G_k``, adding each generator's
-    nonzeros times its coefficient into a zeroed matrix, from triplets
-    built on every call."""
-    k, i, j, value = generator_triplets(n)
-    out = np.zeros((n, n), dtype=np.complex128)
-    np.add.at(out, (i, j), c[k] * value)
-    out[range(n), range(n)] += c0
-    return out
 
 
 def basis_coefficients(m):
     """``(Tr(m) / n, [hs_inner(G_k, m) / 2 for each generator])``."""
     n = m.shape[0]
-    c = np.array([hs_inner(g, m) / 2.0 for g in basis(n).matrices], dtype=np.complex128)
+    c = np.array([hs_inner(g, m) / 2.0 for g in basis_stack(n)[1:]], dtype=np.complex128)
     return np.trace(m) / n, c
 
 
 def basis_sum(n, c0, c):
     """``c0 * identity(n) + sum_k c[k] * G_k``."""
     out = c0 * identity(n)
-    for ck, g in zip(c, basis(n).matrices):
+    for ck, g in zip(c, basis_stack(n)[1:]):
         out += ck * g
     return out
 
@@ -306,35 +189,6 @@ def sum_kron_squares(matrices, n):
     out = np.zeros((n * n, n * n), dtype=np.complex128)
     for m in matrices:
         out += np.kron(m, m)
-    return out
-
-
-def sum_kron_squares_realigned(matrices, n):
-    """``sum_k kron(M_k, M_k)`` as ``R^-1(V.T @ V)``.
-
-    ``R(kron(A, A)) = outer(vec(A), vec(A))`` under the realignment
-    ``R(m)[(i1, j1), (i2, j2)] = m[(i1, i2), (j1, j2)]``, so with V the
-    (k, n^2) stack of row-major ``vec(M_k)`` the sum is one dense product,
-    realigned back.
-    """
-    v = np.reshape(matrices, (len(matrices), n * n))
-    return unrealign(v.T @ v, n, n)
-
-
-def sum_kron_squares_nonzero(matrices, n):
-    """``sum_k kron(M_k, M_k)`` over a dense (k, n, n) stack, scattered from
-    its ``np.nonzero``: every ordered pair of one matrix's nonzeros adds
-    one product at one entry."""
-    k, i, j = np.nonzero(matrices)
-    values = matrices[k, i, j]
-    counts = np.bincount(k, minlength=len(matrices))
-    first = np.cumsum(counts) - counts
-    group = counts[k]
-    a = np.repeat(np.arange(k.size), group)
-    step = np.arange(a.size) - np.repeat(np.cumsum(group) - group, group)
-    b = first[k[a]] + step
-    out = np.zeros((n * n, n * n), dtype=np.complex128)
-    np.add.at(out, (i[a] * n + i[b], j[a] * n + j[b]), values[a] * values[b])
     return out
 
 

@@ -213,19 +213,22 @@ class TestSwapCommand:
         assert err == "tcm: internal consistency failure: rule and formula constructions disagree\n"
 
 
-    def test_positions_are_formatted_a_chunk_at_a_time(self, monkeypatch):
-        # Text for the whole swap took about 230 bytes an entry; the perm,
-        # the ones' columns and one chunk's text take under 64.  csv and
-        # pretty format their chunks the same way.
-        entries = 1000 * 1000
+    @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+    def test_positions_peak_below_two_and_a_half_permutations(self, fmt, monkeypatch):
+        # The ones' columns, 8 bytes an entry, are the inverse permutation,
+        # filled by one scatter from 1..pq: 2.0 permutations at the peak,
+        # and at most 2.08 with one chunk of text.  Taking them from the
+        # (pq, 2) positions peaked at 3.0; text for the whole swap took
+        # about 29.
+        u = swap_by_formula(1000, 1000)
         monkeypatch.setattr(sys, "stdout", Discard())
         tracemalloc.start()
         try:
-            assert cli.main(["swap", "--p", "1000", "--q", "1000", "--format", "json"]) == 0
+            cli._write_swap(fmt, u, "formula", dense=False)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 64 * entries
+        assert peak < 2.5 * u.perm.nbytes
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
