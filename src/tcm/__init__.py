@@ -28,8 +28,6 @@ from .product import (
     offdiag_family_reference,
     offdiag_family_sum,
     reconstruct_product,
-    swap_23_expression,
-    swap_32_expression,
     verify_closed_form,
 )
 
@@ -58,8 +56,6 @@ __all__ = [
     "offdiag_family_sum",
     "reconstruct",
     "reconstruct_product",
-    "swap_23_expression",
-    "swap_32_expression",
     "swap_by_formula",
     "swap_by_rule",
     "verify_closed_form",

@@ -202,9 +202,10 @@ def _write_swap(fmt, u, method, dense):
     """Write the swap ``u`` built by ``method`` in ``fmt``, which under
     ``both`` states that the methods agree; ``dense`` adds the whole matrix."""
     p, q, size = u.p, u.q, u.size
-    # the 1 of row k + 1 sits in column cols[k]: the inverse permutation, 1-based
+    # the 1 of row k + 1 sits in column cols[k]: the inverse permutation, 1-based, filled by chunk
     cols = np.empty(size, dtype=np.int64)
-    cols[u.perm] = np.arange(1, size + 1)
+    for a in range(0, size, _CHUNK):
+        cols[u.perm[a:a + _CHUNK]] = np.arange(a + 1, min(a + _CHUNK, size) + 1)
     out = sys.stdout
 
     def ones(a, b):
@@ -337,18 +338,14 @@ def _load_matrix_file(path, size):
 def _pair_values(entries):
     """JSON ``[[re, im], ...]`` as complex128, checked in bulk.
 
-    Raises TypeError if an entry is no pair of ints and floats (a bool is
-    neither), OverflowError if a number is too large for a float; when
-    both occur, the error of the first bad entry.
+    Raises TypeError if any entry is no pair of ints and floats (a bool is
+    neither), and only then OverflowError if a number is too large for a
+    float: a type fault anywhere wins.
     """
     if set(map(type, entries)) == {list} and set(map(len, entries)) == {2}:
         flat = list(chain.from_iterable(entries))
         if set(map(type, flat)) <= {int, float}:
             return np.array(flat, dtype=np.float64).view(np.complex128)
-    for entry in entries:
-        if type(entry) is not list or len(entry) != 2 or not set(map(type, entry)) <= {int, float}:
-            break
-        complex(*entry)
     raise TypeError("entries must be [re, im] pairs")
 
 

@@ -71,7 +71,7 @@ class GeneratorTable(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class GellMannBasis:
-    """Ordered basis for dimension ``n``: n^2 - 1 (label, matrix) pairs.
+    """Ordered basis for dimension ``n``: its n^2 - 1 generators.
 
     ``triplets`` lists the generators' nonzeros by ``k``, the canonical
     order, and row-major within each generator; its consumers rely on that
@@ -124,12 +124,6 @@ class GellMannBasis:
 
     def __len__(self):
         return self.n * self.n - 1
-
-    def __iter__(self):
-        return zip(self.labels, self.matrices)
-
-    def __getitem__(self, k):
-        return self.labels[k], self.matrices[k]
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,8 +236,9 @@ def _real_operands(n):
     return operands
 
 
-def expand_in_basis(m, n=None):
-    """Expand ``m`` over ``{identity} + basis(n)`` by orthogonal projection.
+def expand_in_basis(m):
+    """Expand the n x n ``m`` over ``{identity} + basis(n)`` by orthogonal
+    projection.
 
     ``c0 = Tr(m) / n`` and ``c[k] = hs_inner(basis_k, m) / 2``, which is
     half the sum of ``conj(value) * m[i, j]`` over the (i, j, value)
@@ -251,11 +246,8 @@ def expand_in_basis(m, n=None):
     generator, read from ``basis(n).triplets``.  The input need not be
     hermitian, in which case coefficients are complex.
     """
-    if n is not None:
-        n = dimension(n, 1)
     m = as_matrix(m)
-    if n is None:
-        n = dimension(m.shape[0], 1)
+    n = dimension(m.shape[0], 1)
     if m.shape != (n, n):
         raise ValueError(f"matrix shape {m.shape} does not match n={n}")
     k, i, j, value = _basis(n).triplets

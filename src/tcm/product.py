@@ -57,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matops import DEFAULT_ABS_EPS, as_matrix, dimension, identity
+from .matops import DEFAULT_ABS_EPS, as_matrix, dimension
 from .gellmann import Triplets, _basis, _real_operands, basis
 
 
@@ -91,7 +91,6 @@ class ClosedFormReport:
 
     n: int
     max_error: float
-    abs_eps: float
     passed: bool
 
 
@@ -283,8 +282,9 @@ def _closed_form_cells(n):
     return keys, np.repeat(np.array([2.0, -2.0 / n], dtype=np.complex128), size)
 
 
-def verify_closed_form(n, abs_eps=DEFAULT_ABS_EPS):
-    """Check ``sum_k kron(G_k, G_k) == 2*swap(n,n) - (2/n) I`` numerically.
+def verify_closed_form(n):
+    """Check ``sum_k kron(G_k, G_k) == 2*swap(n,n) - (2/n) I`` within
+    ``DEFAULT_ABS_EPS``.
 
     The pair products of the sum and the cells of the right-hand side are
     coalesced cell by cell, so nothing of n^4 entries is built.  A NaN
@@ -292,7 +292,7 @@ def verify_closed_form(n, abs_eps=DEFAULT_ABS_EPS):
     """
     n = basis(n).n  # the checked int
     err = _largest_residual(_pair_products(basis(n).triplets, n), _closed_form_cells(n))
-    return ClosedFormReport(n=n, max_error=err, abs_eps=abs_eps, passed=err <= abs_eps)
+    return ClosedFormReport(n=n, max_error=err, passed=err <= DEFAULT_ABS_EPS)
 
 
 def identity_errors(n):
@@ -313,48 +313,3 @@ def identity_errors(n):
         _largest_residual(diag, _diagonal_reference_cells(n)),
     )
 
-
-def _six_term_pairs():
-    """The (3-factor, 2-factor) pairs of the six-term 3 (x) 2 swap expression.
-
-    Each pair is an elementary 6 x 6 matrix of the swap written as the
-    tensor product of its factor expansions over {I_3, lambda} and
-    {I_2, sigma}.
-    """
-    i2, i3 = identity(2), identity(3)
-    s1, s2, s3 = basis(2).matrices
-    l = basis(3).matrices  # l[0] = lambda_1, ..., l[7] = lambda_8
-    rt3 = np.sqrt(3.0)
-    return [
-        (i3 / 3 + l[2] / 2 + rt3 / 6 * l[7], i2 / 2 + s3 / 2),
-        (l[0] / 2 + 0.5j * l[1], s1 / 2 - 0.5j * s2),
-        (l[5] / 2 + 0.5j * l[6], i2 / 2 + s3 / 2),
-        (l[0] / 2 - 0.5j * l[1], i2 / 2 - s3 / 2),
-        (l[5] / 2 - 0.5j * l[6], s1 / 2 + 0.5j * s2),
-        (i3 / 3 - rt3 / 3 * l[7], i2 / 2 - s3 / 2),
-    ]
-
-
-def _six_term_expression(three_first):
-    """Evaluate the six terms literally, with the 3-factor outer or inner.
-
-    With the 3-factor inner, the two factors of each term trade places and
-    are transposed (which negates the antisymmetric generators and keeps
-    the others); the terms are then those of the 2 (x) 3 swap,
-    ``swap(3, 2).T``.
-    """
-    if three_first:
-        terms = [np.kron(a, b) for a, b in _six_term_pairs()]
-    else:
-        terms = [np.kron(b.T, a.T) for a, b in _six_term_pairs()]
-    return sum(terms)
-
-
-def swap_32_expression():
-    """Six-term product-generator expression equal to the 3 (x) 2 swap."""
-    return _six_term_expression(three_first=True)
-
-
-def swap_23_expression():
-    """Six-term product-generator expression equal to the 2 (x) 3 swap."""
-    return _six_term_expression(three_first=False)

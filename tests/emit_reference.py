@@ -64,9 +64,10 @@ def _dump_json(payload):
 
 def write_basis(fmt, b):
     n = b.n
+    numbered = enumerate(zip(b.labels, b.matrices), start=1)
     if fmt == "json":
         generators = []
-        for ordinal, (label, mat) in enumerate(b, start=1):
+        for ordinal, (label, mat) in numbered:
             kind, i, j, d = label_fields(label)
             record = {"ordinal": ordinal, "kind": kind}
             if kind == DIAGONAL:
@@ -80,7 +81,7 @@ def write_basis(fmt, b):
     elif fmt == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(["ordinal", "kind", "i", "j", "d", "row", "col", "re", "im"])
-        for ordinal, (label, mat) in enumerate(b, start=1):
+        for ordinal, (label, mat) in numbered:
             kind, i, j, d = label_fields(label)
             if kind == DIAGONAL:
                 i = j = ""
@@ -94,7 +95,7 @@ def write_basis(fmt, b):
                          repr(float(z.real)), repr(float(z.imag))]
                     )
     else:
-        for ordinal, (label, mat) in enumerate(b, start=1):
+        for ordinal, (label, mat) in numbered:
             print(f"[{ordinal}] {label}")
             _print_matrix(mat)
 

@@ -22,6 +22,9 @@ are the same loops over the generators and the elementary matrices.
 ``one_positions`` sorts the (row, col) pairs of a swap as Python tuples,
 ``swap_by_rule_walk`` walks the swap one column at a time, and
 ``elementary`` places a single 1 by its 1-based indices.
+``six_term_expression`` evaluates the paper's hand expansion of the
+3 (x) 2 and 2 (x) 3 swaps term by term over ``basis_stack(3)`` and
+``basis_stack(2)``.
 """
 
 import re
@@ -271,3 +274,38 @@ def swap_by_rule_walk(p, q):
     if rows[-1] != total:
         raise WalkCheckpointError("walk must end with a 1 at (pq, pq)")
     return SwapMatrix(p=p, q=q, perm=rows - 1)
+
+
+def six_term_pairs():
+    """The (3-factor, 2-factor) pairs of the six-term 3 (x) 2 swap expression.
+
+    Each pair is an elementary 6 x 6 matrix of the swap written as the
+    tensor product of its factor expansions over {I_3, lambda} and
+    {I_2, sigma}.
+    """
+    i3, *l = basis_stack(3)  # l[0] = lambda_1, ..., l[7] = lambda_8
+    i2, s1, s2, s3 = basis_stack(2)
+    rt3 = np.sqrt(3.0)
+    return [
+        (i3 / 3 + l[2] / 2 + rt3 / 6 * l[7], i2 / 2 + s3 / 2),
+        (l[0] / 2 + 0.5j * l[1], s1 / 2 - 0.5j * s2),
+        (l[5] / 2 + 0.5j * l[6], i2 / 2 + s3 / 2),
+        (l[0] / 2 - 0.5j * l[1], i2 / 2 - s3 / 2),
+        (l[5] / 2 - 0.5j * l[6], s1 / 2 + 0.5j * s2),
+        (i3 / 3 - rt3 / 3 * l[7], i2 / 2 - s3 / 2),
+    ]
+
+
+def six_term_expression(three_first, pairs=None):
+    """The sum of the six terms, ``pairs`` or :func:`six_term_pairs`, with the
+    3-factor outer (the 3 (x) 2 swap) or inner.
+
+    With the 3-factor inner, the two factors of each term trade places and
+    are transposed (which negates the antisymmetric generators and keeps
+    the others); the terms are then those of the 2 (x) 3 swap,
+    ``swap(3, 2).T``.
+    """
+    pairs = six_term_pairs() if pairs is None else pairs
+    if three_first:
+        return sum(np.kron(a, b) for a, b in pairs)
+    return sum(np.kron(b.T, a.T) for a, b in pairs)

@@ -13,7 +13,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 
-from loop_reference import elementary
+from loop_reference import elementary, six_term_expression
 from tcm.gellmann import basis, expand_in_basis
 from tcm.matops import identity, max_abs_diff
 from tcm.product import (
@@ -23,8 +23,6 @@ from tcm.product import (
     offdiag_family_reference,
     offdiag_family_sum,
     reconstruct_product,
-    swap_23_expression,
-    swap_32_expression,
 )
 from tcm.swap import swap_by_formula, swap_by_rule
 
@@ -118,8 +116,8 @@ def test_c03_elementary_expansions():
 
 def test_c04_rectangular_six_term_identities():
     tol = 1e-12
-    err32 = max_abs_diff(swap_32_expression(), swap_by_formula(3, 2).dense())
-    err23 = max_abs_diff(swap_23_expression(), swap_by_formula(2, 3).dense())
+    err32 = max_abs_diff(six_term_expression(three_first=True), swap_by_formula(3, 2).dense())
+    err23 = max_abs_diff(six_term_expression(three_first=False), swap_by_formula(2, 3).dense())
     positions = swap_by_formula(3, 2).one_positions()
     expected = [(1, 1), (2, 3), (3, 5), (4, 2), (5, 4), (6, 6)]
     match = np.array_equal(positions, expected)

@@ -122,7 +122,7 @@ class TestBasisCommand:
         payload = json.loads(result.stdout)
         jsonschema.validate(payload, load_schema("basis"))
         assert [g["ordinal"] for g in payload["generators"]] == list(range(1, 9))
-        for record, (label, mat) in zip(payload["generators"], basis(3)):
+        for record, label, mat in zip(payload["generators"], basis(3).labels, basis(3).matrices):
             kind, i, j, d = label_fields(label)
             indices = {"d": d} if kind == DIAGONAL else {"i": i, "j": j}
             assert record == {"ordinal": record["ordinal"], "kind": kind, **indices, "matrix": record["matrix"]}
@@ -214,13 +214,14 @@ class TestSwapCommand:
 
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
-    def test_positions_peak_below_two_and_a_half_permutations(self, fmt, monkeypatch):
+    def test_positions_peak_below_one_and_a_quarter_permutations(self, fmt, monkeypatch):
         # The ones' columns, 8 bytes an entry, are the inverse permutation,
-        # filled by one scatter from 1..pq: 2.0 permutations at the peak,
-        # and at most 2.08 with one chunk of text.  Taking them from the
-        # (pq, 2) positions peaked at 3.0; text for the whole swap took
-        # about 29.
+        # filled one chunk at a time: about 1.07 permutations at the peak
+        # with chunks of 4096 entries.  At the default chunk, one chunk of
+        # text alone is about one permutation and would hide a second
+        # array of the whole swap's size.
         u = swap_by_formula(1000, 1000)
+        monkeypatch.setattr(cli, "_CHUNK", 4096)
         monkeypatch.setattr(sys, "stdout", Discard())
         tracemalloc.start()
         try:
@@ -228,7 +229,7 @@ class TestSwapCommand:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * u.perm.nbytes
+        assert peak < 1.25 * u.perm.nbytes
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
@@ -359,6 +360,14 @@ class TestDecomposeCommand:
         assert result.returncode == 2
         assert result.stdout == ""
         assert result.stderr == f"tcm: error: matrix file {str(path)!r}: {fault}\n"
+
+    def test_a_type_fault_wins_over_an_overflow(self, tmp_path, capsys):
+        # the whole file is checked for types before any number is converted
+        path = tmp_path / "bad.json"
+        entries = ", ".join(["[1%s, 0]" % ("0" * 400)] + ["[0.5, -0.25]"] * 14 + ["[1, true]"])
+        path.write_text('{"rows": 4, "cols": 4, "entries": [%s]}' % entries, encoding="utf-8")
+        assert cli.main(["decompose", "--p", "2", "--q", "2", "--input", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"tcm: error: matrix file {str(path)!r}: entries must be [re, im] pairs\n")
 
     def test_missing_file_exits_2(self):
         result = run_cli("decompose", "--p", "3", "--q", "2", "--input", "/nonexistent.json")

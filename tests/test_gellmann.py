@@ -249,9 +249,9 @@ class TestStack:
 
     def test_pairs_view_the_stack(self):
         b = basis(3)
-        pairs = list(b)
+        pairs = list(zip(b.labels, b.matrices))
         assert len(pairs) == len(b) == 8
-        label, matrix = b[-1]
+        label, matrix = pairs[-1]
         assert str(label) == "D(2)"
         assert np.shares_memory(matrix, b.stack)
         for k, (label, matrix) in enumerate(pairs, start=1):
@@ -377,10 +377,6 @@ class TestExpand:
         expected[0] = 0.5
         expected[1] = 0.5j
         assert np.max(np.abs(coeffs.c - expected)) <= 1e-15
-
-    def test_explicit_n_mismatch(self):
-        with pytest.raises(ValueError):
-            expand_in_basis(identity(3), n=2)
 
     def test_non_square(self):
         with pytest.raises(ValueError):

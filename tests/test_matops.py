@@ -84,7 +84,6 @@ SIZE_ARGUMENTS = {
     "ProductCoefficients q": lambda v: tcm.ProductCoefficients(2, v, np.zeros((4, 9))),
     "decompose_product p": lambda v: tcm.decompose_product(np.eye(6), v, 2),
     "decompose_product q": lambda v: tcm.decompose_product(np.eye(6), 2, v),
-    "expand_in_basis": lambda v: tcm.expand_in_basis(np.eye(3), n=v),
     "reconstruct": lambda v: tcm.reconstruct(tcm.BasisCoefficients(n=v, c0=1.0, c=np.zeros(8))),
     "closed_form_swap_coefficients": lambda v: tcm.closed_form_swap_coefficients(v),
     "identity": lambda v: tcm.identity(v),

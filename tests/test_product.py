@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from loop_reference import elementary
+from loop_reference import basis_stack, elementary, six_term_expression, six_term_pairs
 from tcm.gellmann import GellMannBasis, Triplets, basis
 from tcm.matops import identity, max_abs_diff
 from tcm.product import (
@@ -16,8 +16,6 @@ from tcm.product import (
     offdiag_family_reference,
     offdiag_family_sum,
     reconstruct_product,
-    swap_23_expression,
-    swap_32_expression,
     verify_closed_form,
 )
 from tcm import cli, product, swap
@@ -230,7 +228,7 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("n", [2, 3, 5, 12, np.int64(4)])
     def test_verify_report(self, n):
-        report = verify_closed_form(n, abs_eps=1e-10)
+        report = verify_closed_form(n)
         assert type(report.n) is int and report.n == n
         assert report.passed
         assert report.max_error <= 1e-12
@@ -375,14 +373,32 @@ class TestFamilySums:
 
 
 class TestSixTermExpressions:
+    # the hand expansion of the paper, evaluated by the test oracle over the
+    # single-generator stacks, against the library's swaps
+
     def test_32_equals_swap(self):
-        assert max_abs_diff(swap_32_expression(), swap_by_formula(3, 2).dense()) <= 1e-12
+        assert max_abs_diff(six_term_expression(three_first=True), swap_by_formula(3, 2).dense()) <= 1e-12
 
     def test_23_equals_swap(self):
-        assert max_abs_diff(swap_23_expression(), swap_by_formula(2, 3).dense()) <= 1e-12
+        assert max_abs_diff(six_term_expression(three_first=False), swap_by_formula(2, 3).dense()) <= 1e-12
 
     def test_transpose_relation(self):
-        assert max_abs_diff(swap_32_expression().T, swap_23_expression()) <= 1e-12
+        assert max_abs_diff(six_term_expression(True).T, six_term_expression(False)) <= 1e-12
+
+    @pytest.mark.parametrize("dropped", range(6), ids=[f"term {t}" for t in range(1, 7)])
+    def test_oracle_fails_without_any_one_term(self, dropped):
+        pairs = six_term_pairs()
+        del pairs[dropped]
+        for three_first, (p, q) in ((True, (3, 2)), (False, (2, 3))):
+            assert max_abs_diff(six_term_expression(three_first, pairs), swap_by_formula(p, q).dense()) > 1e-12
+
+    def test_oracle_fails_with_term_2_conjugated(self):
+        # term 2 is (lambda_1/2 + 0.5j lambda_2) (x) (sigma_1/2 - 0.5j sigma_2), E_12 (x) E_21
+        _, l1, l2, *_ = basis_stack(3)
+        pairs = six_term_pairs()
+        pairs[1] = (l1 / 2 - 0.5j * l2, pairs[1][1])
+        for three_first, (p, q) in ((True, (3, 2)), (False, (2, 3))):
+            assert max_abs_diff(six_term_expression(three_first, pairs), swap_by_formula(p, q).dense()) > 1e-12
 
 
 class TestLabels:

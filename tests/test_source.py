@@ -2,7 +2,10 @@ import ast
 import doctest
 import importlib
 import importlib.util
+import re
 from pathlib import Path
+
+import tcm
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCE_DIR = ROOT / "src" / "tcm"
@@ -78,3 +81,11 @@ def test_readme_library_example_runs():
     result = doctest.testfile(str(ROOT / "README.md"), module_relative=False)
     assert result.attempted > 0
     assert result.failed == 0
+
+
+def test_readme_module_table_names_every_export():
+    # a name counts where a backticked span of a `tcm.*` row starts with it
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    rows = [line for line in readme.splitlines() if line.startswith("| `tcm.")]
+    named = {re.match(r"\w*", span).group() for row in rows for span in re.findall(r"`([^`]*)`", row)}
+    assert sorted(set(tcm.__all__) - named) == []
