@@ -23,15 +23,23 @@ generator its place in the canonical order; the triplets and the
 string labels (``"S(1,2)"``, ...) rendered from it and the dense
 (n^2, n, n) stack are built only when a consumer first reads them.
 
-Projections over ``{identity} + basis(n)`` work from the triplets too.
-:func:`expand_in_basis` gathers the entries of ``m`` at the generators'
-nonzeros and sums them per generator, and :func:`reconstruct` scatters
-the weighted nonzeros back into one n x n array: O(n^2) work, no stack
-and no per-n cache.  The product layer reads the :class:`RealOperands`
-of each n, built once and read-only: every element is real (the
-identity, S, D) or purely imaginary (A), so the stack is
-``phase[:, None] * real`` with a real (n^2, n^2) matrix, built from the
-triplets without the stack, and phases 1 or 1j.
+Every element of ``{identity} + basis(n)`` is real (the identity, S, D)
+or purely imaginary (A), so the flattened stack is ``phase[:, None] *
+real`` with a real (n^2, n^2) matrix, built from the triplets without
+the stack, and phases 1 or 1j: the :class:`RealOperands` of each n,
+built once and read-only.  From them, and only for the small n that use
+them, the :class:`ComplexOperands` cache the stack and its weighted
+conjugate as complex matrices.
+
+Projections over ``{identity} + basis(n)`` take one of two paths by n.
+Up to n = 12 (``_COMPLEX_EXPANSION_MAX``) :func:`expand_in_basis` is one
+complex product, the weighted conjugate stack times ``vec(m)``, and
+:func:`reconstruct` the coefficients times the stack: at these sizes a
+cached product costs less than the per-call index work of the triplets.
+Above it :func:`expand_in_basis` gathers the entries of ``m`` at the
+generators' nonzeros and sums them per generator, and :func:`reconstruct`
+scatters the weighted nonzeros back into one n x n array: O(n^2) work
+and no n^4-entry operand.
 """
 
 from dataclasses import dataclass
@@ -45,6 +53,12 @@ from .matops import as_matrix, dimension, identity
 SYMMETRIC = "symmetric"
 ANTISYMMETRIC = "antisymmetric"
 DIAGONAL = "diagonal"
+
+# expand_in_basis and reconstruct take one complex product up to this n
+# and the triplets above it.  The product's lead falls from about 55 % at
+# n <= 6 to nothing at n = 12, and it is behind from n = 14 on (the ladder
+# is in CHANGES.md)
+_COMPLEX_EXPANSION_MAX = 12
 
 
 class Triplets(NamedTuple):
@@ -236,20 +250,50 @@ def _real_operands(n):
     return operands
 
 
+class ComplexOperands(NamedTuple):
+    """``{identity} + basis(n)`` as two complex (n^2, n^2) matrices, for one n.
+
+    ``stack`` is the flattened stack ``phase[:, None] * real`` (row k is
+    element k, row-major) and ``weighted`` is ``weights[:, None] * real``,
+    each row conjugated and divided by its squared norm, so that
+    ``weighted @ vec(m)`` projects ``m`` and ``c @ stack`` evaluates the
+    expansion ``c``.  Both are complex128 and read-only.
+    """
+
+    weighted: np.ndarray
+    stack: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _complex_operands(n):
+    """The :class:`ComplexOperands` of a checked ``n >= 1``, from its
+    :class:`RealOperands`: 2 MB at n = 16."""
+    real, phase, weights = _real_operands(n)
+    operands = ComplexOperands(weights[:, None] * real, phase[:, None] * real)
+    for a in operands:
+        a.setflags(write=False)
+    return operands
+
+
 def expand_in_basis(m):
     """Expand the n x n ``m`` over ``{identity} + basis(n)`` by orthogonal
     projection.
 
     ``c0 = Tr(m) / n`` and ``c[k] = hs_inner(basis_k, m) / 2``, which is
     half the sum of ``conj(value) * m[i, j]`` over the (i, j, value)
-    nonzeros of generator k: one gather from ``m`` and one sum per
-    generator, read from ``basis(n).triplets``.  The input need not be
-    hermitian, in which case coefficients are complex.
+    nonzeros of generator k.  Up to n = 12 that is one product with the
+    cached weighted conjugate stack, ``weighted @ vec(m)``; above it one
+    gather from ``m`` and one sum per generator, read from
+    ``basis(n).triplets``.  The input need not be hermitian, in which case
+    coefficients are complex.
     """
     m = as_matrix(m)
     n = dimension(m.shape[0], 1)
     if m.shape != (n, n):
         raise ValueError(f"matrix shape {m.shape} does not match n={n}")
+    if n <= _COMPLEX_EXPANSION_MAX:
+        c = _complex_operands(n).weighted @ m.ravel()
+        return BasisCoefficients(n=n, c0=complex(c[0]), c=c[1:])
     k, i, j, value = _basis(n).triplets
     terms = np.conj(value)
     terms *= m.ravel()[i * n + j]
@@ -261,12 +305,18 @@ def expand_in_basis(m):
 
 
 def reconstruct(coeffs):
-    """Evaluate ``c0 * identity(n) + sum_k c[k] * basis_k`` by adding each
+    """Evaluate ``c0 * identity(n) + sum_k c[k] * basis_k``: up to n = 12 as
+    ``[c0, c] @ stack`` with the cached stack, above it by adding each
     generator's nonzeros, times its coefficient, into one n x n array."""
     n = dimension(coeffs.n, 1)
     c = np.asarray(coeffs.c, dtype=np.complex128)
     if c.shape != (n * n - 1,):
         raise ValueError(f"need {n * n - 1} coefficients for n={n}, got {c.shape}")
+    if n <= _COMPLEX_EXPANSION_MAX:
+        extended = np.empty(n * n, dtype=np.complex128)
+        extended[0] = coeffs.c0
+        extended[1:] = c
+        return (extended @ _complex_operands(n).stack).reshape(n, n)
     k, i, j, value = _basis(n).triplets
     m = np.zeros(n * n, dtype=np.complex128)
     np.add.at(m, i * n + j, c[k] * value)

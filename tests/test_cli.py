@@ -216,12 +216,12 @@ class TestSwapCommand:
     @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
     def test_positions_peak_below_one_and_a_quarter_permutations(self, fmt, monkeypatch):
         # The ones' columns, 8 bytes an entry, are the inverse permutation,
-        # filled one chunk at a time: about 1.07 permutations at the peak
-        # with chunks of 4096 entries.  At the default chunk, one chunk of
+        # filled one chunk at a time: about 1.1 permutations at the peak
+        # with chunks of 1024 entries.  At the default chunk, one chunk of
         # text alone is about one permutation and would hide a second
         # array of the whole swap's size.
-        u = swap_by_formula(1000, 1000)
-        monkeypatch.setattr(cli, "_CHUNK", 4096)
+        u = swap_by_formula(250, 400)
+        monkeypatch.setattr(cli, "_CHUNK", 1024)
         monkeypatch.setattr(sys, "stdout", Discard())
         tracemalloc.start()
         try:
@@ -263,7 +263,7 @@ class TestDecomposeCommand:
 
     @pytest.mark.parametrize("p", range(1, 9))
     def test_no_field_prints_a_negative_zero(self, p, capsys):
-        # the real products leave -0.0 in zero parts of the swap's cells
+        # either kernel can leave -0.0 in zero parts of the swap's cells
         for q in range(1, 9):
             for threshold in ("1e-12", "0"):
                 args = ["decompose", "--p", str(p), "--q", str(q), "--threshold", threshold, "--format"]
@@ -368,6 +368,19 @@ class TestDecomposeCommand:
         path.write_text('{"rows": 4, "cols": 4, "entries": [%s]}' % entries, encoding="utf-8")
         assert cli.main(["decompose", "--p", "2", "--q", "2", "--input", str(path)]) == 2
         assert capsys.readouterr() == ("", f"tcm: error: matrix file {str(path)!r}: entries must be [re, im] pairs\n")
+
+    def test_near_limit_entries_with_finite_coefficients_are_printed(self, tmp_path, capsys):
+        # 1e308 on three diagonal entries sums past the float64 limit, but
+        # every coefficient is finite: I (x) I is 3e308 / 4
+        path = tmp_path / "near.json"
+        entries = [[1e308 if r == c and r < 3 else 0, 0] for r in range(4) for c in range(4)]
+        path.write_text(json.dumps({"rows": 4, "cols": 4, "entries": entries}), encoding="utf-8")
+        assert cli.main(["decompose", "--p", "2", "--q", "2", "--input", str(path), "--format", "json"]) == 0
+        out, err = capsys.readouterr()
+        values = {(e["left"], e["right"]): e["value"] for e in json.loads(out)["entries"]}
+        assert err == ""
+        assert values[("I", "I")] == [7.5e307, 0.0]
+        assert values[("D(1)", "D(1)")] == [-2.5e307, 0.0]
 
     def test_missing_file_exits_2(self):
         result = run_cli("decompose", "--p", "3", "--q", "2", "--input", "/nonexistent.json")
@@ -685,7 +698,9 @@ REFUSALS = {
         ("decompose --p 1 --q 1 --input huge.json", "matrix file 'huge.json': an entry is too large for a float"),
         ("decompose --p 1 --q 1 --input inf.json", "matrix file 'inf.json': matrix entries must be finite"),
         ("decompose --p 3 --q 2 --input square.json", "matrix file 'square.json' is 2 x 2, expected 6 x 6"),
-        ("decompose --p 2 --q 2 --input overflow.json", "matrix file 'overflow.json': the projection overflows float64"),
+        ("decompose --p 3 --q 3 --input overflow.json", "matrix file 'overflow.json': the projection overflows float64"),
+        ("decompose --p 3 --q 6 --input overflow-3x6.json",
+         "matrix file 'overflow-3x6.json': the projection overflows float64"),
     ],
     "verify": [
         ("verify --n-max 1", "--n-max must be at least 2"),
@@ -696,6 +711,18 @@ REFUSALS = {
         ("verify --n-max 3 --tol inf", "--tol must be finite and non-negative"),
     ],
 }
+
+
+def overflow_file(p, q):
+    """A p (x) q diagonal of finite +-1.7e308, signed like the entries of
+    D(p-1) (x) D(q-1), whose coefficient there is 1.7e308 times
+    sqrt(4 (p-1) (q-1) / (p q)) and overflows: 16/12 of it at 3 (x) 3.
+    3 (x) 3 takes the complex products and 3 (x) 6 the real ones."""
+    signs = [sign_a * sign_b for sign_a in [1] * (p - 1) + [-1] for sign_b in [1] * (q - 1) + [-1]]
+    entries = [[1.7e308 * signs[r] if r == c else 0, 0] for r in range(p * q) for c in range(p * q)]
+    return json.dumps({"rows": p * q, "cols": p * q, "entries": entries})
+
+
 MATRIX_FILES = {
     "square.json": '{"rows": 2, "cols": 2, "entries": [[1, 0], [0, 0], [0, 0], [1, 0]]}',
     "truncated.json": '{"rows": 1, "cols": 1',
@@ -706,9 +733,8 @@ MATRIX_FILES = {
     "pairs.json": '{"rows": 1, "cols": 1, "entries": [[1, "0"]]}',
     "huge.json": '{"rows": 1, "cols": 1, "entries": [[1%s, 0]]}' % ("0" * 400),
     "inf.json": '{"rows": 1, "cols": 1, "entries": [[Infinity, 0]]}',
-    # finite entries whose sums overflow: I (x) I alone is 3e308 / 4
-    "overflow.json": json.dumps({"rows": 4, "cols": 4, "entries": [[1e308 if r == c and r < 3 else 0, 0]
-                                                                   for r in range(4) for c in range(4)]}),
+    "overflow.json": overflow_file(3, 3),
+    "overflow-3x6.json": overflow_file(3, 6),
 }
 
 

@@ -17,6 +17,7 @@ from tcm.gellmann import (
     SYMMETRIC,
     BasisCoefficients,
     _basis,
+    _complex_operands,
     _real_operands,
     basis,
     expand_in_basis,
@@ -153,8 +154,10 @@ class TestBasis:
 
     @pytest.mark.parametrize(
         "call,cache",
-        [(basis, _basis), (lambda n: decompose_product(np.eye(9), n, n), _real_operands)],
-        ids=["basis", "real_operands"],
+        # 9 (x) 9 takes the real products, 3 (x) 3 the complex ones
+        [(basis, _basis), (lambda n: decompose_product(np.eye(n ** 4), n * n, n * n), _real_operands),
+         (lambda n: decompose_product(np.eye(9), n, n), _complex_operands)],
+        ids=["basis", "real_operands", "complex_operands"],
     )
     def test_a_numpy_integer_shares_the_cache_entry_of_its_int(self, call, cache):
         # one entry per size: a second would hold a second copy of the arrays
@@ -354,6 +357,29 @@ class TestRealOperands:
             with pytest.raises(ValueError):
                 a[0] = 7.0
 
+
+
+class TestComplexOperands:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 12, 16])
+    def test_are_the_weighted_and_phased_real_rows_exactly(self, n):
+        real, phase, weights = _real_operands(n)
+        weighted, stack = _complex_operands(n)
+        assert weighted.dtype == stack.dtype == np.complex128
+        assert weighted.tobytes() == (weights[:, None] * real).tobytes()
+        assert stack.tobytes() == (phase[:, None] * real).tobytes()
+
+    def test_are_cached_per_n(self):
+        _complex_operands.cache_clear()
+        assert _complex_operands(4) is _complex_operands(4)
+        assert _complex_operands(4) is not _complex_operands(3)
+        assert _complex_operands.cache_info().currsize == 2
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_refuse_writes(self, n):
+        for name, a in _complex_operands(n)._asdict().items():
+            assert not a.flags.writeable, name
+            with pytest.raises(ValueError):
+                a[0, 0] = 7.0
 
 
 class TestExpand:

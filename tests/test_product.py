@@ -168,7 +168,20 @@ class TestDecompose:
         assert a[0, 0] == 1
 
     @pytest.mark.parametrize(
-        "build", [lambda: decompose_product(identity(6), 2, 3), lambda: closed_form_swap_coefficients(3)]
+        "grid",
+        [np.zeros((8, 4), dtype=complex)[:4], np.zeros((4, 4)), np.zeros((4, 9), dtype=complex)],
+        ids=["view", "float64", "wrong-shape"],
+    )
+    def test_adopt_refuses_all_but_an_owned_complex_grid_of_its_shape(self, grid):
+        with pytest.raises(ValueError, match="only an owned complex128 grid"):
+            ProductCoefficients._adopt(2, 2, grid)
+        assert grid.flags.writeable
+
+    @pytest.mark.parametrize(
+        "build",
+        # the complex products, the closed form and the real products
+        [lambda: decompose_product(identity(6), 2, 3), lambda: closed_form_swap_coefficients(3),
+         lambda: decompose_product(identity(18), 3, 6)],
     )
     def test_built_grid_is_read_only_and_owns_its_data(self, build):
         grid = build().grid

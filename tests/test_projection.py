@@ -24,8 +24,8 @@ from hypothesis import strategies as st
 
 import loop_reference as loops
 from loop_reference import basis_coefficients, basis_sum, extended_factors, product_grid, product_sum, realign, unrealign
-from tcm import product
-from tcm.gellmann import BasisCoefficients, Triplets, _real_operands, basis, expand_in_basis, reconstruct
+from tcm import gellmann, product
+from tcm.gellmann import BasisCoefficients, Triplets, _complex_operands, _real_operands, basis, expand_in_basis, reconstruct
 from tcm.matops import DEFAULT_ABS_EPS, max_abs_diff
 from tcm.product import ProductCoefficients, decompose_product, reconstruct_product
 from tcm.swap import swap_by_formula
@@ -184,10 +184,11 @@ def test_laws_catch_a_wrong_decomposition(defect, p, q):
 
 
 def cold(call):
-    """``call()`` with the basis and real-operand caches cleared first: the
+    """``call()`` with the basis and operand caches cleared first: the
     per-call form, every operand built for this one call."""
     basis.cache_clear()
     _real_operands.cache_clear()
+    _complex_operands.cache_clear()
     return call()
 
 
@@ -246,6 +247,58 @@ def test_expansion_is_within_1e_14_of_the_stack_product(n):
         got = coefficient_vector(m)
         assert np.max(np.abs(got - stack.conj() @ m.ravel() / norms)) <= bound(m), kind
         assert max_abs_diff(reconstruct(expand_in_basis(m)), (got @ stack).reshape(n, n)) <= bound(m), kind
+
+
+def refuse(*args):
+    raise AssertionError("this path must not run at this size")
+
+
+# Each projection has two kernels, chosen by size: complex products up to
+# pq = 16 (products) and n = 12 (expansions), the real products and the
+# triplets above.  With the other kernel made to raise, sizes at or below
+# each threshold must still give the right answer, and sizes above it must
+# reach the raise.
+@pytest.mark.parametrize("p,q", [(1, 1), (2, 2), (4, 4), (3, 5), (5, 3), (2, 8), (1, 16), (16, 1)])
+def test_small_operators_take_the_complex_products(p, q, monkeypatch):
+    m = random_operator(100 * p + q, "complex", p * q)
+    monkeypatch.setattr(product, "_real_products", refuse)
+    coeffs = decompose_product(m, p, q)
+    assert np.max(np.abs(coeffs.grid - product_grid(m, p, q))) <= bound(m)
+    assert max_abs_diff(reconstruct_product(coeffs), m) <= bound(m)
+
+
+@pytest.mark.parametrize("p,q", [(3, 6), (6, 3), (1, 17), (4, 5)])
+def test_larger_operators_take_the_real_products(p, q, monkeypatch):
+    m = random_operator(100 * p + q, "complex", p * q)
+    coeffs = decompose_product(m, p, q)
+    monkeypatch.setattr(product, "_real_products", refuse)
+    with pytest.raises(AssertionError, match="must not run"):
+        decompose_product(m, p, q)
+    with pytest.raises(AssertionError, match="must not run"):
+        reconstruct_product(coeffs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 12])
+def test_small_expansions_take_the_complex_products(n, monkeypatch):
+    m = random_operator(n, "complex", n)
+    _complex_operands(n)  # built from the triplets once, before they are refused
+    monkeypatch.setattr(gellmann, "_basis", refuse)
+    coeffs = expand_in_basis(m)
+    c0, c = basis_coefficients(m)
+    assert abs(coeffs.c0 - c0) <= bound(m)
+    assert np.max(np.abs(coeffs.c - c), initial=0.0) <= bound(m)
+    assert max_abs_diff(reconstruct(coeffs), m) <= bound(m)
+
+
+@pytest.mark.parametrize("n", [13, 16])
+def test_larger_expansions_take_the_triplets(n, monkeypatch):
+    m = random_operator(n, "complex", n)
+    coeffs = expand_in_basis(m)
+    monkeypatch.setattr(gellmann, "_basis", refuse)
+    with pytest.raises(AssertionError, match="must not run"):
+        expand_in_basis(m)
+    with pytest.raises(AssertionError, match="must not run"):
+        reconstruct(coeffs)
 
 
 def warm_peak(call):
