@@ -165,14 +165,11 @@ def _write_basis(fmt, b):
         np.maximum.at(widths, k, lengths)
         w = widths[k] + 2
         ends = i * (n * w + 1) + (j + 1) * w
-        starts, widths = ends - lengths, widths.tolist()
-    else:
-        heads = ([""] + [_json_lead(5)] * (n * n - 1) if fmt == "json" else
-                 [f"{_PREFIX}{r},{c}," for r in range(1, n + 1) for c in range(1, n + 1)])
-        template, starts = _zeros(heads, fmt_value(0j))
+        starts, ends, widths = (ends - lengths).tolist(), ends.tolist(), widths.tolist()
+    elif fmt == "json":
+        template, starts = _zeros([""] + [_json_lead(5)] * (n * n - 1), fmt_value(0j))
         starts = starts[i * n + j]
-        ends = starts + len(fmt_value(0j))
-    starts, ends = starts.tolist(), ends.tolist()
+        starts, ends = starts.tolist(), (starts + len(fmt_value(0j))).tolist()
 
     def spliced(g, template):
         at = slice(lo[g], lo[g + 1])
@@ -192,7 +189,15 @@ def _write_basis(fmt, b):
     if fmt == "csv":
         sys.stdout.write("ordinal,kind,i,j,d,row,col,re,im\r\n")
         prefixes = [f"{ordinal},{kind},{i or ''},{j or ''},{d or ''}," for ordinal, (kind, i, j, d) in table]
-        generator = lambda g: spliced(g, template).replace(_PREFIX, prefixes[g])
+        # a record is the generator's prefix and its cell's text, a zero cell's rendered once per command
+        cells = [f"{r},{c}," for r in range(1, n + 1) for c in range(1, n + 1)]
+        zeros, places = ["", *(cell + fmt_value(0j) for cell in cells)], (i * n + j).tolist()
+
+        def generator(g):
+            records = zeros.copy()
+            for t in range(lo[g], lo[g + 1]):
+                records[places[t] + 1] = cells[places[t]] + texts[t]
+            return prefixes[g].join(records)
     else:
         generator = lambda g: f"[{g + 1}] {b.labels[g]}\n" + spliced(g, ((" " * (widths[g] + 1) + "0") * n + "\n") * n)
     _write_records(len(b), n * n, lambda a, z: [generator(g) for g in range(a, z)])

@@ -23,23 +23,14 @@ generator its place in the canonical order; the triplets and the
 string labels (``"S(1,2)"``, ...) rendered from it and the dense
 (n^2, n, n) stack are built only when a consumer first reads them.
 
-Every element of ``{identity} + basis(n)`` is real (the identity, S, D)
-or purely imaginary (A), so the flattened stack is ``phase[:, None] *
-real`` with a real (n^2, n^2) matrix, built from the triplets without
-the stack, and phases 1 or 1j: the :class:`RealOperands` of each n,
-built once and read-only.  From them, and only for the small n that use
-them, the :class:`ComplexOperands` cache the stack and its weighted
-conjugate as complex matrices.
-
-Projections over ``{identity} + basis(n)`` take one of two paths by n.
-Up to n = 12 (``_COMPLEX_EXPANSION_MAX``) :func:`expand_in_basis` is one
-complex product, the weighted conjugate stack times ``vec(m)``, and
-:func:`reconstruct` the coefficients times the stack: at these sizes a
-cached product costs less than the per-call index work of the triplets.
-Above it :func:`expand_in_basis` gathers the entries of ``m`` at the
-generators' nonzeros and sums them per generator, and :func:`reconstruct`
-scatters the weighted nonzeros back into one n x n array: O(n^2) work
-and no n^4-entry operand.
+Up to n = 12 (``_COMPLEX_EXPANSION_MAX``) :func:`expand_in_basis` and
+:func:`reconstruct` are one complex product with the cached stack or its
+weighted conjugate (:class:`ComplexOperands`).  Above it they run the
+transform: S(i,j) and A(i,j) are half the sum and, turned by -1j, half
+the difference of the entries (i, j) and (j, i), and the identity and D(d)
+an (n, n) matrix times the diagonal.  Its kernels act in place on the rows
+of an (n^2, c) array, so :mod:`tcm.product` runs them on each side of
+R(m): O(n^2) work per column and no n^4-entry operand.
 """
 
 from dataclasses import dataclass
@@ -55,9 +46,9 @@ ANTISYMMETRIC = "antisymmetric"
 DIAGONAL = "diagonal"
 
 # expand_in_basis and reconstruct take one complex product up to this n
-# and the triplets above it.  The product's lead falls from about 55 % at
-# n <= 6 to nothing at n = 12, and it is behind from n = 14 on (the ladder
-# is in CHANGES.md)
+# and the transform above it.  The product's lead falls from about 60 % at
+# n <= 7 to 12 % at n = 12, and it is behind from n = 13 on (the ladder is
+# in CHANGES.md)
 _COMPLEX_EXPANSION_MAX = 12
 
 
@@ -216,47 +207,12 @@ def _basis(n):
 basis.cache_clear = _basis.cache_clear
 
 
-class RealOperands(NamedTuple):
-    """``{identity} + basis(n)`` split into a real matrix and phases, for one n.
-
-    Every element is real (the identity, S(i,j), D(d)) or purely imaginary
-    (A(i,j)), so row k of the (n^2, n^2) stack is ``phase[k] * real[k]``:
-    ``real`` is float64, and ``phase`` is 1, or 1j for A(i,j), whose real
-    row holds -1 at (i,j) and +1 at (j,i).  ``weights`` is
-    ``conj(phase) / norms``, the factor that turns ``real`` products into
-    projections.  ``phase`` and ``weights`` are complex128; all are read-only.
-    """
-
-    real: np.ndarray
-    phase: np.ndarray
-    weights: np.ndarray
-
-
-@lru_cache(maxsize=None)
-def _real_operands(n):
-    """The :class:`RealOperands` of a checked ``n >= 1`` from the triplets, not
-    the stack: ``[[1.0]]`` at n = 1, and 8 MB of ``real`` at n = 32."""
-    k, i, j, value = _basis(n).triplets
-    real = np.zeros((n * n, n * n))
-    real[0, :: n + 1] = 1.0
-    real[k + 1, i * n + j] = value.real + value.imag  # one of the two is zero
-    phase = np.ones(n * n, dtype=np.complex128)
-    phase[k[value.imag != 0] + 1] = 1j
-    norms = np.full(n * n, 2.0)
-    norms[0] = n
-    operands = RealOperands(real, phase, phase.conj() / norms)
-    for a in operands:
-        a.setflags(write=False)
-    return operands
-
-
 class ComplexOperands(NamedTuple):
     """``{identity} + basis(n)`` as two complex (n^2, n^2) matrices, for one n.
 
-    ``stack`` is the flattened stack ``phase[:, None] * real`` (row k is
-    element k, row-major) and ``weighted`` is ``weights[:, None] * real``,
-    each row conjugated and divided by its squared norm, so that
-    ``weighted @ vec(m)`` projects ``m`` and ``c @ stack`` evaluates the
+    ``stack`` is the flattened stack (row k is element k, row-major) and
+    ``weighted`` is each row conjugated and divided by its squared norm, so
+    that ``weighted @ vec(m)`` projects ``m`` and ``c @ stack`` evaluates the
     expansion ``c``.  Both are complex128 and read-only.
     """
 
@@ -266,26 +222,101 @@ class ComplexOperands(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _complex_operands(n):
-    """The :class:`ComplexOperands` of a checked ``n >= 1``, from its
-    :class:`RealOperands`: 2 MB at n = 16."""
-    real, phase, weights = _real_operands(n)
-    operands = ComplexOperands(weights[:, None] * real, phase[:, None] * real)
+    """The :class:`ComplexOperands` of a checked ``n >= 1`` from the triplets,
+    2 MB at n = 16: each row is a phase, 1 or 1j for A(i,j), times a real row."""
+    k, i, j, value = _basis(n).triplets
+    real = np.zeros((n * n, n * n))
+    real[0, :: n + 1] = 1.0
+    real[k + 1, i * n + j] = value.real + value.imag  # one of the two is zero
+    phase = np.ones(n * n, dtype=np.complex128)
+    phase[k[value.imag != 0] + 1] = 1j
+    norms = np.append(n, np.full(n * n - 1, 2.0))
+    operands = ComplexOperands((phase.conj() / norms)[:, None] * real, phase[:, None] * real)
     for a in operands:
         a.setflags(write=False)
     return operands
+
+
+class Transform(NamedTuple):
+    """``{identity} + basis(n)`` as an O(n^2) map on rows, for one n.
+
+    The kernels act on the rows of an (n^2, c) array laid out by ``layout``,
+    the vec index ``i*n + j`` of each row: the (i, j) of the P pairs i < j
+    in canonical order, then their (j, i), then the n diagonal entries:
+    disjoint blocks, so numpy writes one from another without a copy.
+    :func:`_forward` leaves S(i,j) and A(i,j) of pair t in rows t and P + t,
+    the identity and D(d) in the diagonal rows, and ``order`` lists these
+    rows in canonical order.  ``stack`` is the (n, n) matrix of the identity
+    and D(d) on the diagonal, ``weighted`` its rows over their squared
+    norms.  All are read-only.
+    """
+
+    layout: np.ndarray
+    order: np.ndarray
+    weighted: np.ndarray
+    stack: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _transform(n):
+    """The :class:`Transform` of a checked ``n >= 1``, with the D(d) values of the triplets."""
+    i, j, k, _, k_diagonal = _numbering(n)
+    layout = np.concatenate((i * n + j, j * n + i, np.arange(n) * (n + 1)))
+    order = np.argsort(np.concatenate((k + 1, k + 2, [0], k_diagonal + 1)))  # inverts the rows' canonical places
+    t = _basis(n).triplets
+    stack = np.zeros((n, n))
+    stack[0] = 1.0
+    stack[1:][np.tril_indices(n - 1, 1, n)] = t.value.real[t.i == t.j]  # the D(d), by d and then entry
+    weighted = stack / np.append(n, np.full(n - 1, 2.0))[:, None]
+    plan = Transform(layout, order, weighted, stack)
+    for a in plan:
+        a.setflags(write=False)
+    return plan
+
+
+def _forward(x, t):
+    """Project in place the columns of the C-contiguous complex128 (n^2, c)
+    ``x`` laid out by ``t``: with u, l the (i, j), (j, i) rows of a pair,
+    S(i,j) = u/2 + l/2 and A(i,j) = -1j (l/2 - u/2), each weight inside
+    the sum, so that a sum overflows only where its coefficient does, and
+    the identity and D(d) are ``t.weighted`` times the diagonal rows."""
+    half = (len(x) - len(t.stack)) // 2
+    u, l, diagonal = x[:half], x[half:2 * half], x[2 * half:]
+    x[:2 * half] *= 0.5
+    difference = l - u
+    u += l
+    np.multiply(difference, -1j, out=l)
+    diagonal[...] = (t.weighted @ diagonal.view(np.float64)).view(np.complex128)
+
+
+def _adjoint(x, t):
+    """Evaluate in place the coefficients that :func:`_forward` leaves in
+    ``x``: rows (i, j) and (j, i) become ``S - 1j A`` and ``S + 1j A``, and
+    the diagonal ``t.stack.T`` times the identity and D(d) coefficients."""
+    half = (len(x) - len(t.stack)) // 2
+    s, a, diagonal = x[:half], x[half:2 * half], x[2 * half:]
+    turned = a * 1j
+    np.add(s, turned, out=a)
+    s -= turned
+    diagonal[...] = (t.stack.T @ diagonal.view(np.float64)).view(np.complex128)
+
+
+def _placed(x, rows):
+    """A new C-contiguous complex128 array with row ``rows[r]`` set to row r of ``x``."""
+    out = np.empty(x.shape, dtype=np.complex128)
+    out[rows] = x
+    return out
 
 
 def expand_in_basis(m):
     """Expand the n x n ``m`` over ``{identity} + basis(n)`` by orthogonal
     projection.
 
-    ``c0 = Tr(m) / n`` and ``c[k] = hs_inner(basis_k, m) / 2``, which is
-    half the sum of ``conj(value) * m[i, j]`` over the (i, j, value)
-    nonzeros of generator k.  Up to n = 12 that is one product with the
-    cached weighted conjugate stack, ``weighted @ vec(m)``; above it one
-    gather from ``m`` and one sum per generator, read from
-    ``basis(n).triplets``.  The input need not be hermitian, in which case
-    coefficients are complex.
+    ``c0 = Tr(m) / n`` and ``c[k] = hs_inner(basis_k, m) / 2``.  Up to
+    n = 12 that is one product with the cached weighted conjugate stack,
+    ``weighted @ vec(m)``; above it the transform of a copy of ``vec(m)``,
+    read in canonical order.  The input need not be hermitian, in which
+    case coefficients are complex.
     """
     m = as_matrix(m)
     n = dimension(m.shape[0], 1)
@@ -293,32 +324,26 @@ def expand_in_basis(m):
         raise ValueError(f"matrix shape {m.shape} does not match n={n}")
     if n <= _COMPLEX_EXPANSION_MAX:
         c = _complex_operands(n).weighted @ m.ravel()
-        return BasisCoefficients(n=n, c0=complex(c[0]), c=c[1:])
-    k, i, j, value = _basis(n).triplets
-    terms = np.conj(value)
-    terms *= m.ravel()[i * n + j]
-    c = np.empty(n * n - 1, dtype=np.complex128)
-    c.real = np.bincount(k, terms.real, c.size)
-    c.imag = np.bincount(k, terms.imag, c.size)
-    c *= 0.5
-    return BasisCoefficients(n=n, c0=complex(m.trace() / n), c=c)
+    else:
+        t = _transform(n)
+        x = m.reshape(n * n, 1)[t.layout]
+        _forward(x, t)
+        c = x[t.order, 0]
+    return BasisCoefficients(n=n, c0=complex(c[0]), c=c[1:])
 
 
 def reconstruct(coeffs):
     """Evaluate ``c0 * identity(n) + sum_k c[k] * basis_k``: up to n = 12 as
-    ``[c0, c] @ stack`` with the cached stack, above it by adding each
-    generator's nonzeros, times its coefficient, into one n x n array."""
+    ``[c0, c] @ stack`` with the cached stack, above it by the adjoint
+    transform of the coefficients, each put at its place."""
     n = dimension(coeffs.n, 1)
     c = np.asarray(coeffs.c, dtype=np.complex128)
     if c.shape != (n * n - 1,):
         raise ValueError(f"need {n * n - 1} coefficients for n={n}, got {c.shape}")
+    extended = np.concatenate(([coeffs.c0], c))
     if n <= _COMPLEX_EXPANSION_MAX:
-        extended = np.empty(n * n, dtype=np.complex128)
-        extended[0] = coeffs.c0
-        extended[1:] = c
         return (extended @ _complex_operands(n).stack).reshape(n, n)
-    k, i, j, value = _basis(n).triplets
-    m = np.zeros(n * n, dtype=np.complex128)
-    np.add.at(m, i * n + j, c[k] * value)
-    m[:: n + 1] += coeffs.c0
-    return m.reshape(n, n)
+    t = _transform(n)
+    x = _placed(extended[:, None], t.order)
+    _adjoint(x, t)
+    return _placed(x, t.layout).reshape(n, n)

@@ -15,29 +15,16 @@ products").  Writing composite indices as ``(i1, i2)``, the realignment
 maps ``kron(A_a, B_b)`` to the rank-one ``outer(vec(A_a), vec(B_b))``, so
 with A, B the stacks of vectorized factor bases the projection is
 ``grid = conj(A) @ R(m) @ conj(B).T / outer(norms_p, norms_q)`` and the
-reconstruction is ``R^-1(A.T @ grid @ B)``.  The operands are cached,
-read-only, per factor size; nothing is cached per (p, q) pair.  Two
-kernels compute these products, chosen by the operator's size pq:
-
-* up to pq = 16 (``_COMPLEX_PRODUCT_MAX``), two complex products with
-  the weights inside the operand, ``C = conj(A) / norms``
-  (:class:`~tcm.gellmann.ComplexOperands`): ``grid = C_p @ R(m) @ C_q.T``
-  and ``R^-1(A_p.T @ grid @ A_q)``.  At these sizes a product costs less
-  than the elementwise passes that the real kernel adds;
-* above it, real products.  Every row of A is real or purely imaginary,
-  ``A = phase[:, None] * Q`` with Q real
-  (:class:`~tcm.gellmann.RealOperands`), so ``grid = w_p[:, None] *
-  (Q_p @ R(m) @ Q_q.T) * w_q`` with the weights ``w = conj(phase) /
-  norms``, and the reconstruction applies the phases to the grid, then
-  ``Q_p.T`` and ``Q_q``.  Each product is one float64 product on the
-  interleaved real and imaginary parts of a complex array, half the work
-  of a complex product with real factors, and there is no p^2 x q^2 norm
-  grid and no complex division.  The realigned input is copied once,
-  transposed, into a buffer that also takes the inner product's
-  transpose, and the second product is written into the grid.
-
-Either kernel hands its grid to :class:`ProductCoefficients` without a
-copy.
+reconstruction is ``R^-1(A.T @ grid @ B)``.  Up to 100 000 multiply-adds,
+p^2 q^2 (p^2 + q^2) (``_COMPLEX_PRODUCT_MAX``), and factors of 16, these
+are complex products with each factor's cached ``C = conj(A) / norms``,
+``grid = C_p @ R(m) @ C_q.T`` (:class:`~tcm.gellmann.ComplexOperands`).
+Above them each factor's Gell-Mann transform
+(:class:`~tcm.gellmann.Transform`) runs in place on the rows of
+``R(m)^T``, gathered in its layout, and then on those of the transpose:
+O(p^2 q^2) work, at most two pq x pq arrays live, and nothing cached per
+(p, q) pair.  Either kernel hands its grid to :class:`ProductCoefficients`
+without a copy.
 
 For equal factors the swap matrix has the closed-form expansion
 
@@ -69,13 +56,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matops import DEFAULT_ABS_EPS, as_matrix, dimension
-from .gellmann import Triplets, _basis, _complex_operands, _real_operands, basis
+from .gellmann import Triplets, _adjoint, _basis, _complex_operands, _forward, _placed, _transform, basis
 
-# decompose_product and reconstruct_product take the complex products up to
-# this pq and the real ones above it.  The complex kernel's lead falls from
-# about 30 % at 2 (x) 2 to a few % at pq = 25, and it is behind from 6 (x) 6
-# on (the ladder is in CHANGES.md)
-_COMPLEX_PRODUCT_MAX = 16
+# the most complex multiply-adds, p^2 q^2 (p^2 + q^2), of the complex products, which take no
+# factor above 16, so that no operand is above 256 x 256 (the ladders are in CHANGES.md)
+_COMPLEX_PRODUCT_MAX = 100_000
+
+
+def _complex_products(p, q):
+    return p * p * q * q * (p * p + q * q) <= _COMPLEX_PRODUCT_MAX and max(p, q) <= 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,76 +120,56 @@ def extended_labels(n):
     return ["I", *_basis(n).labels]
 
 
-def _real_products(first, second, buffer):
-    """``second @ (first @ buffer).T`` for float64 ``first`` and ``second``
-    and an owned, C-contiguous complex128 ``buffer``.
-
-    Each product is one float64 product on the interleaved real and
-    imaginary parts of its complex operand.  The transpose in between is
-    written into ``buffer``, so at most one more array of its size is live
-    next to it, and the second product into a new complex128 array that
-    owns its data, through its float64 view.
-    """
-    inner = buffer.reshape(buffer.shape[::-1])
-    inner[...] = (first @ buffer.view(np.float64)).view(np.complex128).T
-    out = np.empty((second.shape[0], inner.shape[1]), dtype=np.complex128)
-    np.matmul(second, inner.view(np.float64), out=out.view(np.float64))
-    return out
-
-
 def decompose_product(m, p, q):
     """Project ``m`` onto the product basis of dimensions p and q.
 
     Cell (a, b) is ``hs_inner(kron(A_a, B_b), m)`` divided by the product
-    of the factors' squared norms.  Up to pq = 16 that is ``(C_p R(m)
-    C_q^T)[a, b]``, two complex products with the weights inside the
-    cached operands ``C = conj(A) / norms``.  Above it, with ``A_a =
-    phase_a Q_a``, it is ``w_a (Q_p R(m) Q_q^T)[a, b] w_b`` with the weights
-    ``w = conj(phase) / norms``: two float64 products on one copy of
-    ``R(m)^T``, then both factors' weights in place.  Entries near the
-    float64 limit can overflow: such cells are inf or NaN, and whether
-    numpy also warns depends on the kernel.
+    of the factors' squared norms: for small factors ``(C_p R(m)
+    C_q^T)[a, b]`` with the cached ``C = conj(A) / norms``, above them the
+    q and then the p transform of ``R(m)^T``, read in canonical order.
+    Entries near the float64 limit can overflow: such cells are
+    inf or NaN, and whether numpy also warns depends on the kernel.
     """
     p, q = dimension(p, 1), dimension(q, 1)
     m = as_matrix(m)
     if m.shape != (p * q, p * q):
         raise ValueError(f"matrix shape {m.shape} does not match p*q = {p * q}")
-    if p * q <= _COMPLEX_PRODUCT_MAX:
+    if _complex_products(p, q):
         # R(m)[(i1, j1), (i2, j2)] = m[(i1, i2), (j1, j2)]
         rm = m.reshape(p, q, p, q).transpose(0, 2, 1, 3).reshape(p * p, q * q)
         grid = _complex_operands(p).weighted @ rm @ _complex_operands(q).weighted.T
     else:
-        a, b = _real_operands(p), _real_operands(q)
-        # R(m)^T[(i2, j2), (i1, j1)] = m[(i1, i2), (j1, j2)], copied, as the
-        # products overwrite it and at p = 1 or q = 1 the transpose alone is
-        # a view of m; passed unnamed, it is freed when the products return
-        rt = m.reshape(p, q, p, q).transpose(1, 3, 0, 2)
-        grid = _real_products(b.real, a.real, rt.copy().reshape(q * q, p * p))
-        grid *= a.weights[:, None]
-        grid *= b.weights
+        a, b = _transform(p), _transform(q)
+        # R(m)^T[(i2, j2), (i1, j1)] = m[(i1, i2), (j1, j2)], rows laid out by b: a
+        # gather, so a copy; one step a line, so that each frees the array it replaces
+        x = m.reshape(p, q, p, q).transpose(1, 3, 0, 2)[np.divmod(b.layout, q)].reshape(q * q, p * p)
+        _forward(x, b)
+        x = x[b.order]
+        x = x.T[a.layout]
+        _forward(x, a)
+        grid = x[a.order]
     return ProductCoefficients._adopt(p, q, grid)
 
 
 def reconstruct_product(coeffs):
     """Evaluate ``sum_ab grid[a, b] * kron(A_a, B_b)``.
 
-    Up to pq = 16 that is ``R^-1(A_p^T grid A_q)``, two complex products
-    with the cached stacks.  Above it, with ``A_a = phase_a Q_a``, it is
-    ``R^-1(Q_p^T (phase_a phase_b grid[a, b]) Q_q)``: a copy of the grid
-    times both factors' phases, then two float64 products, which give
-    ``R(m)^T``, unrealigned into that copy.
+    For small factors that is ``R^-1(A_p^T grid A_q)`` with the cached
+    stacks, above them the p and then the q adjoint transform, each on the
+    rows laid out for it, which gives ``R(m)^T``.
     """
     p, q = coeffs.p, coeffs.q  # checked by ProductCoefficients
-    if p * q <= _COMPLEX_PRODUCT_MAX:
+    if _complex_products(p, q):
         r = _complex_operands(p).stack.T @ coeffs.grid @ _complex_operands(q).stack
         return r.reshape(p, p, q, q).transpose(0, 2, 1, 3).reshape(p * q, p * q)
-    a, b = _real_operands(p), _real_operands(q)
-    buffer = coeffs.grid * a.phase[:, None]
-    buffer *= b.phase
-    rt = _real_products(a.real.T, b.real.T, buffer)
-    m = buffer.reshape(p * q, p * q)
-    m.reshape(p, q, p, q)[...] = rt.reshape(q, q, p, p).transpose(2, 0, 3, 1)
-    return m
+    a, b = _transform(p), _transform(q)
+    x = _placed(coeffs.grid, a.order)
+    _adjoint(x, a)
+    x = _placed(x, a.layout)
+    x = _placed(x.T, b.order)
+    _adjoint(x, b)
+    x = _placed(x, b.layout)
+    return x.reshape(q, q, p, p).transpose(2, 0, 3, 1).reshape(p * q, p * q)
 
 
 def closed_form_swap_coefficients(n):

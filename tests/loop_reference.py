@@ -9,7 +9,8 @@ order from them one generator at a time, ``basis_labels`` writes the
 labels by a loop over the pairs, independently of the library's
 numbering, and ``label_fields`` reads a label's kind and indices back
 from its text.  ``real_stack`` splits that stack into a real matrix and
-phases, exact values that the library's real operands must equal.
+phases, exact values from which the library's complex operands must
+follow bit for bit.
 
 The projection oracles take one Hilbert-Schmidt inner product per cell
 (``product_grid``, ``basis_coefficients``) and add one Kronecker product

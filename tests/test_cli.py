@@ -382,6 +382,27 @@ class TestDecomposeCommand:
         assert values[("I", "I")] == [7.5e307, 0.0]
         assert values[("D(1)", "D(1)")] == [-2.5e307, 0.0]
 
+    # 3 (x) 6 takes the complex products and 4 (x) 9 the transforms
+    @pytest.mark.parametrize("p,q", [(3, 6), (4, 9)])
+    def test_near_limit_pair_with_finite_coefficients_is_printed(self, p, q, tmp_path, capsys):
+        # 1e308 at (1,2) and (2,1) (0-based) sum past the float64 limit, but
+        # each side weighs its terms before it sums them: the S(2,3) of q
+        # is 1e308 and no coefficient is above 1e308 / 2
+        size = p * q
+        path = tmp_path / "near.json"
+        entries = [[1e308 if (r, c) in ((1, 2), (2, 1)) else 0, 0] for r in range(size) for c in range(size)]
+        path.write_text(json.dumps({"rows": size, "cols": size, "entries": entries}), encoding="utf-8")
+        assert cli.main(["decompose", "--p", str(p), "--q", str(q), "--input", str(path), "--format", "json"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        values = {(e["left"], e["right"]): e["value"] for e in json.loads(out)["entries"]}
+        # rows (0, 1) and (0, 2), columns (0, 2) and (0, 1): the (0, 0) entry
+        # of each p element times S(2,3) of q
+        expected = {"I": 1e308 / p, **{f"D({d})": 1e308 / np.sqrt(2 * d * (d + 1)) for d in range(1, p)}}
+        assert set(values) == {(left, "S(2,3)") for left in expected}
+        for left, value in expected.items():
+            assert values[(left, "S(2,3)")] == pytest.approx([value, 0.0], rel=1e-15)
+
     def test_missing_file_exits_2(self):
         result = run_cli("decompose", "--p", "3", "--q", "2", "--input", "/nonexistent.json")
         assert result.returncode == 2
@@ -701,6 +722,8 @@ REFUSALS = {
         ("decompose --p 3 --q 3 --input overflow.json", "matrix file 'overflow.json': the projection overflows float64"),
         ("decompose --p 3 --q 6 --input overflow-3x6.json",
          "matrix file 'overflow-3x6.json': the projection overflows float64"),
+        ("decompose --p 4 --q 9 --input overflow-4x9.json",
+         "matrix file 'overflow-4x9.json': the projection overflows float64"),
     ],
     "verify": [
         ("verify --n-max 1", "--n-max must be at least 2"),
@@ -717,7 +740,8 @@ def overflow_file(p, q):
     """A p (x) q diagonal of finite +-1.7e308, signed like the entries of
     D(p-1) (x) D(q-1), whose coefficient there is 1.7e308 times
     sqrt(4 (p-1) (q-1) / (p q)) and overflows: 16/12 of it at 3 (x) 3.
-    3 (x) 3 takes the complex products and 3 (x) 6 the real ones."""
+    3 (x) 3 and 3 (x) 6 take the complex products and 4 (x) 9 the
+    transforms."""
     signs = [sign_a * sign_b for sign_a in [1] * (p - 1) + [-1] for sign_b in [1] * (q - 1) + [-1]]
     entries = [[1.7e308 * signs[r] if r == c else 0, 0] for r in range(p * q) for c in range(p * q)]
     return json.dumps({"rows": p * q, "cols": p * q, "entries": entries})
@@ -735,6 +759,7 @@ MATRIX_FILES = {
     "inf.json": '{"rows": 1, "cols": 1, "entries": [[Infinity, 0]]}',
     "overflow.json": overflow_file(3, 3),
     "overflow-3x6.json": overflow_file(3, 6),
+    "overflow-4x9.json": overflow_file(4, 9),
 }
 
 

@@ -16,9 +16,11 @@ from tcm.gellmann import (
     DIAGONAL,
     SYMMETRIC,
     BasisCoefficients,
+    _adjoint,
     _basis,
     _complex_operands,
-    _real_operands,
+    _forward,
+    _transform,
     basis,
     expand_in_basis,
     reconstruct,
@@ -154,10 +156,10 @@ class TestBasis:
 
     @pytest.mark.parametrize(
         "call,cache",
-        # 9 (x) 9 takes the real products, 3 (x) 3 the complex ones
-        [(basis, _basis), (lambda n: decompose_product(np.eye(n ** 4), n * n, n * n), _real_operands),
+        # 9 (x) 9 takes the transforms, 3 (x) 3 the complex products
+        [(basis, _basis), (lambda n: decompose_product(np.eye(n ** 4), n * n, n * n), _transform),
          (lambda n: decompose_product(np.eye(9), n, n), _complex_operands)],
-        ids=["basis", "real_operands", "complex_operands"],
+        ids=["basis", "transform", "complex_operands"],
     )
     def test_a_numpy_integer_shares_the_cache_entry_of_its_int(self, call, cache):
         # one entry per size: a second would hold a second copy of the arrays
@@ -305,68 +307,68 @@ class TestStack:
         assert max_abs_diff(reconstruct(expand_in_basis(m)), m) <= 1e-12
 
 
-def assert_real_operands_are_the_split_generators(n):
-    real, phase, weights = _real_operands(n)
-    expected_real, expected_phase, norms = loops.real_stack(n)
-    assert real.dtype == np.float64 and real.shape == (n * n, n * n)
-    assert real.tobytes() == expected_real.tobytes()
-    assert phase.tobytes() == expected_phase.tobytes()
-    assert weights.tobytes() == (expected_phase.conj() / norms).tobytes()
+def transformed_unit_columns(n):
+    """The forward transform of the n^2 unit columns, rows in canonical
+    order, and the adjoint transform of the n^2 unit coefficient columns,
+    rows in vec order: the operators ``weighted`` and ``stack.T``."""
+    t = _transform(n)
+    x = np.eye(n * n, dtype=np.complex128)[t.layout]
+    _forward(x, t)
+    y = np.zeros((n * n, n * n), dtype=np.complex128)
+    y[t.order] = np.eye(n * n)
+    _adjoint(y, t)
+    back = np.empty_like(y)
+    back[t.layout] = y
+    return x[t.order], back
 
 
-class TestRealOperands:
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13])
-    def test_equal_the_split_of_the_generator_functions_bitwise(self, n):
-        assert_real_operands_are_the_split_generators(n)
+class TestTransform:
+    @pytest.mark.parametrize("n", range(1, 18))
+    def test_forward_is_the_weighted_stack_and_adjoint_the_stack(self, n):
+        weighted, stack = _complex_operands(n)
+        forward, adjoint = transformed_unit_columns(n)
+        assert np.max(np.abs(forward - weighted)) <= 1e-15
+        assert np.max(np.abs(adjoint - stack.T)) <= 1e-15
 
-    @settings(max_examples=15, deadline=None)
-    @given(n=st.integers(1, 40))
-    def test_equal_the_split_of_the_generator_functions_bitwise_at_random_n(self, n):
-        # every generator real or purely imaginary, at the sizes the triplets are checked at
-        assert_real_operands_are_the_split_generators(n)
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 7])
-    def test_phases_times_real_rows_are_the_stack(self, n):
-        real, phase, _ = _real_operands(n)
-        product = phase[:, None] * real
-        assert product.tobytes() == basis(n).stack.reshape(n * n, n * n).tobytes()
-
-    def test_antisymmetric_rows_are_imaginary_with_minus_one_above_the_diagonal(self):
-        # A(1,2) is row 2 of {I} + basis(2): -1j at (1,2), +1j at (2,1)
-        real, phase, weights = _real_operands(2)
-        assert phase.tolist() == [1, 1, 1j, 1]
-        assert real[2].tolist() == [0.0, -1.0, 1.0, 0.0]
-        assert weights.tolist() == [0.5, 0.5, -0.5j, 0.5]
-
-    def test_one_dimensional_operands(self):
-        real, phase, weights = _real_operands(1)
-        assert real.tolist() == [[1.0]]
-        assert phase.tolist() == weights.tolist() == [1]
+    def test_one_dimensional_transform(self):
+        t = _transform(1)
+        assert t.layout.tolist() == t.order.tolist() == [0]
+        assert t.weighted.tolist() == t.stack.tolist() == [[1.0]]
 
     def test_built_from_the_triplets_without_the_stack(self):
         basis.cache_clear()
-        _real_operands.cache_clear()
-        _real_operands(6)
+        _transform.cache_clear()
+        _transform(6)
         assert "stack" not in vars(basis(6))
-        assert _real_operands(6) is _real_operands(6)
+        assert _transform(6) is _transform(6)
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_refuse_writes(self, n):
-        for name, a in _real_operands(n)._asdict().items():
+        for name, a in _transform(n)._asdict().items():
             assert not a.flags.writeable, name
             with pytest.raises(ValueError):
-                a[0] = 7.0
-
+                a[0] = 7
 
 
 class TestComplexOperands:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 12, 16])
     def test_are_the_weighted_and_phased_real_rows_exactly(self, n):
-        real, phase, weights = _real_operands(n)
+        # the split of the loop generators into real rows and phases 1 or 1j
+        real, phase, norms = loops.real_stack(n)
         weighted, stack = _complex_operands(n)
         assert weighted.dtype == stack.dtype == np.complex128
-        assert weighted.tobytes() == (weights[:, None] * real).tobytes()
+        assert weighted.tobytes() == ((phase.conj() / norms)[:, None] * real).tobytes()
         assert stack.tobytes() == (phase[:, None] * real).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7])
+    def test_stack_is_the_stack_of_the_basis(self, n):
+        assert _complex_operands(n).stack.tobytes() == basis(n).stack.reshape(n * n, n * n).tobytes()
+
+    def test_built_from_the_triplets_without_the_stack(self):
+        basis.cache_clear()
+        _complex_operands.cache_clear()
+        _complex_operands(6)
+        assert "stack" not in vars(basis(6))
 
     def test_are_cached_per_n(self):
         _complex_operands.cache_clear()

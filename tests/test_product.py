@@ -179,9 +179,9 @@ class TestDecompose:
 
     @pytest.mark.parametrize(
         "build",
-        # the complex products, the closed form and the real products
+        # the complex products, the closed form and the transforms
         [lambda: decompose_product(identity(6), 2, 3), lambda: closed_form_swap_coefficients(3),
-         lambda: decompose_product(identity(18), 3, 6)],
+         lambda: decompose_product(identity(49), 7, 7)],
     )
     def test_built_grid_is_read_only_and_owns_its_data(self, build):
         grid = build().grid

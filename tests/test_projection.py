@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 import loop_reference as loops
 from loop_reference import basis_coefficients, basis_sum, extended_factors, product_grid, product_sum, realign, unrealign
 from tcm import gellmann, product
-from tcm.gellmann import BasisCoefficients, Triplets, _complex_operands, _real_operands, basis, expand_in_basis, reconstruct
+from tcm.gellmann import BasisCoefficients, Triplets, _complex_operands, _transform, basis, expand_in_basis, reconstruct
 from tcm.matops import DEFAULT_ABS_EPS, max_abs_diff
 from tcm.product import ProductCoefficients, decompose_product, reconstruct_product
 from tcm.swap import swap_by_formula
@@ -187,7 +187,7 @@ def cold(call):
     """``call()`` with the basis and operand caches cleared first: the
     per-call form, every operand built for this one call."""
     basis.cache_clear()
-    _real_operands.cache_clear()
+    _transform.cache_clear()
     _complex_operands.cache_clear()
     return call()
 
@@ -254,28 +254,42 @@ def refuse(*args):
 
 
 # Each projection has two kernels, chosen by size: complex products up to
-# pq = 16 (products) and n = 12 (expansions), the real products and the
-# triplets above.  With the other kernel made to raise, sizes at or below
-# each threshold must still give the right answer, and sizes above it must
-# reach the raise.
-@pytest.mark.parametrize("p,q", [(1, 1), (2, 2), (4, 4), (3, 5), (5, 3), (2, 8), (1, 16), (16, 1)])
+# 100 000 multiply-adds and factors of 16 (products) and up to n = 12
+# (expansions), the transforms above.  With the other kernel made to raise, sizes on each side of the
+# threshold must still give the right answer, and a size must reach the
+# raise of its own kernel.
+@pytest.mark.parametrize(
+    "p,q", [(1, 1), (2, 2), (4, 4), (3, 5), (5, 3), (2, 8), (3, 6), (6, 3), (4, 5), (4, 7), (3, 9), (6, 6), (5, 7),
+            (4, 8), (3, 10), (1, 16), (16, 1)])
 def test_small_operators_take_the_complex_products(p, q, monkeypatch):
     m = random_operator(100 * p + q, "complex", p * q)
-    monkeypatch.setattr(product, "_real_products", refuse)
+    monkeypatch.setattr(product, "_forward", refuse)
+    monkeypatch.setattr(product, "_adjoint", refuse)
     coeffs = decompose_product(m, p, q)
     assert np.max(np.abs(coeffs.grid - product_grid(m, p, q))) <= bound(m)
     assert max_abs_diff(reconstruct_product(coeffs), m) <= bound(m)
 
 
-@pytest.mark.parametrize("p,q", [(3, 6), (6, 3), (1, 17), (4, 5)])
-def test_larger_operators_take_the_real_products(p, q, monkeypatch):
+@pytest.mark.parametrize("p,q", [(4, 9), (5, 8), (6, 7), (7, 7), (2, 16), (1, 17), (17, 1)])
+def test_larger_operators_take_the_transforms(p, q, monkeypatch):
     m = random_operator(100 * p + q, "complex", p * q)
+    monkeypatch.setattr(product, "_complex_operands", refuse)
     coeffs = decompose_product(m, p, q)
-    monkeypatch.setattr(product, "_real_products", refuse)
+    assert np.max(np.abs(coeffs.grid - product_grid(m, p, q))) <= bound(m)
+    assert max_abs_diff(reconstruct_product(coeffs), m) <= bound(m)
+    monkeypatch.setattr(product, "_forward", refuse)
+    monkeypatch.setattr(product, "_adjoint", refuse)
     with pytest.raises(AssertionError, match="must not run"):
         decompose_product(m, p, q)
     with pytest.raises(AssertionError, match="must not run"):
         reconstruct_product(coeffs)
+
+
+def test_no_complex_operand_above_16_is_built():
+    # a cached (n^2, n^2) operand at 1 (x) 30 would be 900 x 900
+    chosen = [(p, q) for p in range(1, 65) for q in range(1, 65) if product._complex_products(p, q)]
+    assert max(max(pq) for pq in chosen) == 16
+    assert (6, 6) in chosen and (4, 9) not in chosen and (1, 17) not in chosen
 
 
 @pytest.mark.parametrize("n", [1, 2, 8, 12])
@@ -283,6 +297,8 @@ def test_small_expansions_take_the_complex_products(n, monkeypatch):
     m = random_operator(n, "complex", n)
     _complex_operands(n)  # built from the triplets once, before they are refused
     monkeypatch.setattr(gellmann, "_basis", refuse)
+    monkeypatch.setattr(gellmann, "_forward", refuse)
+    monkeypatch.setattr(gellmann, "_adjoint", refuse)
     coeffs = expand_in_basis(m)
     c0, c = basis_coefficients(m)
     assert abs(coeffs.c0 - c0) <= bound(m)
@@ -291,10 +307,16 @@ def test_small_expansions_take_the_complex_products(n, monkeypatch):
 
 
 @pytest.mark.parametrize("n", [13, 16])
-def test_larger_expansions_take_the_triplets(n, monkeypatch):
+def test_larger_expansions_take_the_transform(n, monkeypatch):
     m = random_operator(n, "complex", n)
+    monkeypatch.setattr(gellmann, "_complex_operands", refuse)
     coeffs = expand_in_basis(m)
-    monkeypatch.setattr(gellmann, "_basis", refuse)
+    c0, c = basis_coefficients(m)
+    assert abs(coeffs.c0 - c0) <= bound(m)
+    assert np.max(np.abs(coeffs.c - c)) <= bound(m)
+    assert max_abs_diff(reconstruct(coeffs), m) <= bound(m)
+    monkeypatch.setattr(gellmann, "_forward", refuse)
+    monkeypatch.setattr(gellmann, "_adjoint", refuse)
     with pytest.raises(AssertionError, match="must not run"):
         expand_in_basis(m)
     with pytest.raises(AssertionError, match="must not run"):
@@ -320,8 +342,8 @@ def test_warm_expansion_copies_no_stack():
 
 def test_cold_expansion_renders_no_stack():
     # At n = 48 one n^4-entry complex array is 81 MiB; rendering the stack
-    # and its conjugate peaked at 162 MiB.  The triplets and the per-call
-    # gather and scatter take well under a MiB.
+    # and its conjugate peaked at 162 MiB.  The triplets, the transform's
+    # indices and its per-call copies of vec(m) take well under a MiB.
     n = 48
     m = random_operator(48, "complex", n)
     basis.cache_clear()
@@ -337,10 +359,11 @@ def test_cold_expansion_renders_no_stack():
 
 
 def test_warm_product_projection_makes_no_conjugate_copy():
-    # At 16 (x) 16 one (256, 256) complex array is 1 MiB.  The realigned
-    # input, the inner product and the grid (or the grid and the norm grid)
-    # peak at 2.25 of them (2 360 688 bytes measured with numpy 2.4); an
-    # earlier form's conjugate stacks took that to 3.0 (3 151 056 bytes).
+    # At 16 (x) 16 one (256, 256) complex array is 1 MiB.  The transforms
+    # hold one such array, with half of one more while they work, and each
+    # reordering copy frees the array it replaces: the peak is 2.0 of them
+    # (2 100 624 bytes measured with numpy 2.4).  An earlier form's
+    # conjugate stacks took that to 3.0 (3 151 056 bytes).
     one_n4_array = 16 ** 4 * np.dtype(np.complex128).itemsize
     m = random_operator(1616, "complex", 256)
     assert warm_peak(lambda: decompose_product(m, 16, 16)) < 2.5 * one_n4_array
